@@ -16,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -51,13 +52,6 @@ class RunConfig:
     output_path: str | None
     constants_source: str = "fit"
 
-    def __post_init__(self) -> None:
-        if self.reaction_name not in BUILTIN_REACTIONS:
-            raise UsageError(f"unknown reaction {self.reaction_name!r}; "
-                             f"available: {', '.join(sorted(BUILTIN_REACTIONS))}")
-        if self.output_format not in (None, "csv", "json", "svg"):
-            raise UsageError(f"unrecognized format {self.output_format!r}")
-
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
@@ -71,7 +65,7 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
+def _csv(header: list[str], rows: Iterable[list[str]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -168,10 +162,7 @@ def _make_grid(uc_min: float, uc_max: float, count: int,
 # independent (non-continuation) solving, optionally in worker processes
 
 def _solve_row_task(payload: tuple) -> tuple[float, float, float, int, str | None]:
-    name, u_c, tol_ode, tol_shoot, eps = payload
-    config = ShootingConfig(residual_tol=tol_shoot, epsilon_manifold=eps,
-                            control=IntegrationControl(abs_tol=tol_ode,
-                                                       rel_tol=tol_ode))
+    name, u_c, config = payload
     try:
         sol = solve_speed(make_cutoff(by_name(name), u_c), None, config)
     except CutoffWaveError as exc:
@@ -185,9 +176,7 @@ def _solve_rows(run: RunConfig, values: list[float], jobs: int,
     if continuation:
         curve = sweep(run.reaction, values, config)
         return curve.rows, curve.failures
-    payloads = [(run.reaction_name, u, config.control.abs_tol,
-                 config.residual_tol, config.epsilon_manifold)
-                for u in values]
+    payloads = [(run.reaction_name, u, config) for u in values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_solve_row_task, payloads))
@@ -276,22 +265,16 @@ def _cmd_profile(args, filecfg) -> int:
     grid = np.linspace(lo, hi, args.samples)
     if lo < 0.0 < hi:
         grid[np.argmin(np.abs(grid))] = 0.0
-    rows = []
-    for yv in grid:
-        y_native = yv + shift
-        if y_native < 0.0:
-            u, up = sol.trajectory.sample(y_native + sol.y_event)
-        else:
-            decay = math.exp(-sol.v_star * y_native)
-            u = u_c * decay
-            up = -sol.v_star * u_c * decay
-        rows.append([_fmt(float(yv)), _fmt(float(u)), _fmt(float(up))])
+    u, up = sol.sample(grid + shift)
     fmt = run.output_format or "csv"
     if fmt == "csv":
-        _emit(_csv(["y", "U", "Uprime"], rows), run.output_path)
+        # numpy floats format exactly as Python floats do
+        _emit(_csv(["y", "U", "Uprime"],
+                   ([_fmt(y), _fmt(a), _fmt(b)]
+                    for y, a, b in zip(grid, u, up))), run.output_path)
     elif fmt == "json":
-        _emit(_json_text([{"y": float(r[0]), "U": float(r[1]),
-                           "Uprime": float(r[2])} for r in rows]),
+        _emit(_json_text([{"y": y, "U": a, "Uprime": b} for y, a, b in
+                          zip(grid.tolist(), u.tolist(), up.tolist())]),
               run.output_path)
     else:
         raise UsageError("profile supports --format csv or json")

@@ -15,7 +15,8 @@ pair and a free quartic dense-output interpolant.  On the leading edge
 alpha falls by many orders of magnitude while p stays O(1), so the error
 control is relative to alpha and the slope ratio beta/alpha at a small
 threshold is resolved as sharply as at a large one.  Everything outside
-the stepper reads and writes (alpha, beta) = (e^w, e^w * p).
+the stepper reads and writes (alpha, beta) = (e^w, e^w * p); the dense
+output is read back by ``Trajectory.sample`` at one y or an array of y.
 
 Threshold crossings (alpha reaching a target level, i.e. w reaching its
 logarithm) are terminal events, localized by bisection on the
@@ -35,9 +36,10 @@ sees a smooth right-hand side.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import SpanExceeded, StepFailure
 from .reaction import CutoffReaction, lambda_plus
@@ -116,7 +118,7 @@ class Trajectory:
 
     Each accepted step contributes one polynomial segment in (w, p) =
     (ln alpha, beta/alpha); ``sample`` evaluates the continuous (alpha,
-    beta) path at any y inside [y_start, y_end].
+    beta) path at a y, or an array of them, inside [y_start, y_end].
     """
 
     def __init__(self, y_start: float) -> None:
@@ -124,29 +126,36 @@ class Trajectory:
         self.y_end = y_start
         # per segment: (y0, h, w0, p0, qw, qp) with q* the quartic coeffs
         self._segments: list[tuple] = []
-        self._starts: list[float] = []
-
-    def _append(self, y0: float, h: float, w0: float, p0: float,
-                qw: tuple, qp: tuple) -> None:
-        self._segments.append((y0, h, w0, p0, qw, qp))
-        self._starts.append(y0)
+        # (y0, h, w0, p0, *qw, *qp) per segment, built when first sampled
+        # (again after segments are added): unread shots never pay for it
+        self._rows: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._segments)
 
-    def sample(self, y: float) -> tuple[float, float]:
+    def sample(self, y):
+        """(alpha, beta) at y: floats for a float, arrays for a 1-D array.
+
+        Every y must lie in [y_start, y_end] (to 1e-12), else ValueError.
+        """
         if not self._segments:
             raise ValueError("empty trajectory")
-        if y < self.y_start - 1e-12 or y > self.y_end + 1e-12:
-            raise ValueError(f"y={y} outside sampled range "
+        ys = np.atleast_1d(np.asarray(y, dtype=float))
+        outside = ys[(ys < self.y_start - 1e-12) | (ys > self.y_end + 1e-12)]
+        if outside.size:
+            raise ValueError(f"y={float(outside[0])} outside sampled range "
                              f"[{self.y_start}, {self.y_end}]")
-        i = bisect_right(self._starts, y) - 1
-        if i < 0:
-            i = 0
-        y0, h, w0, p0, qw, qp = self._segments[i]
-        t = (y - y0) / h
-        a = math.exp(_quartic(w0, h, qw, t))
-        return (a, a * _quartic(p0, h, qp, t))
+        if self._rows is None or len(self._rows) != len(self):
+            self._rows = np.array([(y0, h, w0, p0, *qw, *qp) for
+                                   y0, h, w0, p0, qw, qp in self._segments])
+        i = np.searchsorted(self._rows[:, 0], ys, side="right") - 1
+        y0, h, w0, p0, *q = self._rows[np.maximum(i, 0)].T
+        t = (ys - y0) / h
+        a = exp_each(_quartic(w0, h, q[:4], t))
+        b = a * _quartic(p0, h, q[4:], t)
+        if np.ndim(y) == 0:
+            return float(a[0]), float(b[0])
+        return a, b
 
     def find_alpha(self, target: float) -> tuple[float, float, float] | None:
         """Locate the first y where alpha crosses ``target`` (descending).
@@ -160,9 +169,9 @@ class Trajectory:
         if target <= 0.0:
             return None
         w_target = math.log(target)
-        for i, seg in enumerate(self._segments):
-            y0, h, w0, p0, qw, qp = seg
-            y_stop = (self._starts[i + 1] if i + 1 < len(self._segments)
+        segments = self._segments
+        for i, (y0, h, w0, p0, qw, qp) in enumerate(segments):
+            y_stop = (segments[i + 1][0] if i + 1 < len(segments)
                       else self.y_end)
             t_max = min(1.0, (y_stop - y0) / h)
             w1 = _quartic(w0, h, qw, t_max)
@@ -177,11 +186,19 @@ class Trajectory:
         if abs(other.y_start - self.y_end) > 1e-9:
             raise ValueError("trajectories do not abut")
         self._segments.extend(other._segments)
-        self._starts.extend(other._starts)
         self.y_end = other.y_end
 
 
-def _quartic(y0: float, h: float, q: tuple, t: float) -> float:
+def exp_each(x: np.ndarray) -> np.ndarray:
+    """``math.exp`` of every element of a 1-D array.
+
+    np.exp differs from math.exp in the last bit for a few percent of
+    arguments, which would change printed 17-digit profiles.
+    """
+    return np.fromiter(map(math.exp, x.tolist()), float, len(x))
+
+
+def _quartic(y0, h, q, t):
     return y0 + h * t * (q[0] + t * (q[1] + t * (q[2] + t * q[3])))
 
 
@@ -330,7 +347,7 @@ class _Integration:
                   + _P6[2] * dp6 + _P7[2] * dp7,
                   _P1[3] * dp + _P3[3] * dp3 + _P4[3] * dp4 + _P5[3] * dp5
                   + _P6[3] * dp6 + _P7[3] * dp7)
-            self.trajectory._append(y, h, w, p, qw, qp)
+            self.trajectory._segments.append((y, h, w, p, qw, qp))
             self.n_steps += 1
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
@@ -371,9 +388,9 @@ class _Integration:
         s = max(0.0, (alpha_stop - a) / beta)  # a may round below the level
         p_event = beta / alpha_stop
         if s > 0.0:
-            self.trajectory._append(
-                y, s, w, p, ((w_stop - w) / s, 0.0, 0.0, 0.0),
-                ((p_event - p) / s, 0.0, 0.0, 0.0))
+            self.trajectory._segments.append(
+                (y, s, w, p, ((w_stop - w) / s, 0.0, 0.0, 0.0),
+                 ((p_event - p) / s, 0.0, 0.0, 0.0)))
             self.n_steps += 1
         self.y, self.w, self.p, self.h = y + s, w_stop, p_event, h
         self.state = PhaseState(alpha_stop, beta)

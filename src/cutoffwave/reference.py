@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import WindowTooNarrow
 from .integrator import (IntegrationControl, PhaseState, Trajectory,
-                         trace_field_until_alpha)
+                         exp_each, trace_field_until_alpha)
 from .reaction import ReactionSpec, gamma_rate, lambda_plus
 from .solver import Profile
 
@@ -24,8 +24,9 @@ _MIN_SPEED = 2.0
 #: the trajectory runs down to this level (ybar ~ 37), which bounds the
 #: fit windows a caller may ask for
 _FLOOR = 1e-14
-#: profile samples stop here, which fixes the reference profile's grid
-#: (the trajectory itself runs on to the floor)
+#: the reference profile's grid: this many samples, the last where U
+#: falls to this level (the trajectory itself runs on to the floor)
+_PROFILE_SAMPLES = 4001
 _PROFILE_FLOOR = 1e-11
 _MANIFOLD_OFFSET = 1e-10
 #: resampling step used for the edge fit
@@ -58,7 +59,7 @@ class AsymptoticConstants:
 
 def solve_reference(reaction: ReactionSpec,
                     control: IntegrationControl | None = None,
-                    n_samples: int = 4001) -> ReferenceWave:
+                    ) -> ReferenceWave:
     """Integrate the no-cut-off system at v = 2 down to U = 1e-14.
 
     Starts on the saddle's unstable manifold (the branch entering the
@@ -77,12 +78,10 @@ def solve_reference(reaction: ReactionSpec,
     y_shift = half.y_event
 
     y_last = front.find_alpha(_PROFILE_FLOOR)[0]
-    grid = np.linspace(front.y_start - y_shift, y_last - y_shift, n_samples)
+    grid = np.linspace(front.y_start - y_shift, y_last - y_shift,
+                       _PROFILE_SAMPLES)
     grid[np.argmin(np.abs(grid))] = 0.0
-    u = np.empty_like(grid)
-    up = np.empty_like(grid)
-    for i, ybar in enumerate(grid):
-        u[i], up[i] = front.sample(ybar + y_shift)
+    u, up = front.sample(grid + y_shift)
     return ReferenceWave(profile=Profile(y=grid, u=u, uprime=up),
                          y_shift=y_shift, reaction=reaction,
                          trajectory=front)
@@ -105,10 +104,8 @@ def fit_edge_constants(wave: ReferenceWave,
         raise WindowTooNarrow(f"window yields {n} samples; need at least 100")
 
     ybar = np.linspace(lo, hi, n)
-    g = np.empty_like(ybar)
-    for i, yv in enumerate(ybar):
-        u, _ = wave.trajectory.sample(yv + wave.y_shift)
-        g[i] = u * math.exp(yv)
+    u, _ = wave.trajectory.sample(ybar + wave.y_shift)
+    g = u * exp_each(ybar)
     coeffs = np.polyfit(ybar, g, 1)
     resid = float(np.sqrt(np.mean((np.polyval(coeffs, ybar) - g) ** 2)))
     a_inf, b_inf = float(coeffs[0]), float(coeffs[1])

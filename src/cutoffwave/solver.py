@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (InsufficientTail, MaxIterations, NoSignChange,
                      SpanExceeded, CutoffWaveError)
 from .integrator import (EventRecord, IntegrationControl, Trajectory,
-                         trace_until_alpha, unstable_manifold_start)
+                         exp_each, trace_until_alpha, unstable_manifold_start)
 from .reaction import (CutoffReaction, ReactionSpec, lambda_plus,
                        make_cutoff, v_upper_bound)
 
@@ -76,6 +76,22 @@ class WaveSolution:
     cutoff: CutoffReaction = field(repr=False)
     trajectory: Trajectory = field(repr=False)
     y_event: float = field(repr=False)
+
+    def sample(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(U, U') on a 1-D array of y, with the threshold at y = 0.
+
+        The rear (y < 0) is read off the integrated trajectory; ahead of
+        the threshold the wave is exactly u_c * exp(-v*y).
+        """
+        v, u_c = self.v_star, self.u_c
+        rear = y < 0.0
+        u = np.empty_like(y)
+        up = np.empty_like(y)
+        u[rear], up[rear] = self.trajectory.sample(y[rear] + self.y_event)
+        decay = exp_each(-v * y[~rear])
+        u[~rear] = u_c * decay
+        up[~rear] = -v * u_c * decay
+        return u, up
 
 
 @dataclass(frozen=True)
@@ -179,8 +195,7 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
         y_half=0.0, cutoff=cutoff, trajectory=traj, y_event=record.y_event)
     # tail span 2/v* always covers the half-height point (ln(2u_c)/v*)
     # while keeping the rear densely sampled even for large thresholds
-    solution.profile = assemble_profile(solution, cutoff,
-                                        y_min=-record.y_event,
+    solution.profile = assemble_profile(solution, y_min=-record.y_event,
                                         y_max=max(2.0 / v_star, 5.0),
                                         n_samples=1201)
     solution.y_half = _locate_half(solution)
@@ -197,14 +212,12 @@ def _locate_half(solution: WaveSolution) -> float:
     return math.log(2.0 * solution.u_c) / solution.v_star
 
 
-def assemble_profile(solution: WaveSolution, cutoff: CutoffReaction,
-                     y_min: float, y_max: float,
+def assemble_profile(solution: WaveSolution, y_min: float, y_max: float,
                      n_samples: int = 1201) -> Profile:
     """Sample the wave on [y_min, y_max] with the threshold at y = 0.
 
-    The rear (y < 0) is read off the integrated trajectory; ahead of the
-    threshold the wave is exactly u_c * exp(-v*y).  The grid is snapped
-    so one sample sits exactly at y = 0.
+    The window is clamped to the computed rear and the grid is snapped
+    so one sample sits exactly at y = 0; see :meth:`WaveSolution.sample`.
     """
     if not (y_min < 0.0 < y_max):
         raise ValueError("need y_min < 0 < y_max")
@@ -213,19 +226,7 @@ def assemble_profile(solution: WaveSolution, cutoff: CutoffReaction,
     y_min = max(y_min, -solution.y_event)
     grid = np.linspace(y_min, y_max, n_samples)
     grid[np.argmin(np.abs(grid))] = 0.0
-
-    v = solution.v_star
-    u_c = solution.u_c
-    u = np.empty_like(grid)
-    up = np.empty_like(grid)
-    for i, yv in enumerate(grid):
-        if yv < 0.0:
-            a, b = solution.trajectory.sample(yv + solution.y_event)
-            u[i], up[i] = a, b
-        else:
-            decay = math.exp(-v * yv)
-            u[i] = u_c * decay
-            up[i] = -v * u_c * decay
+    u, up = solution.sample(grid)
     return Profile(y=grid, u=u, uprime=up)
 
 

@@ -144,8 +144,7 @@ def test_measure_front_location_half_threshold(fisher_half):
 
 def test_measure_front_location_requires_span():
     sol = solve_speed(make_cutoff(fisher(), 0.6))
-    sol.profile = assemble_profile(sol, make_cutoff(fisher(), 0.6),
-                                   y_min=-1.0, y_max=0.01)
+    sol.profile = assemble_profile(sol, y_min=-1.0, y_max=0.01)
     with pytest.raises(ProfileTooShort):
         measure_front_location(sol)
 

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from cutoffwave import assemble_profile, fisher, make_cutoff, solve_speed
 from cutoffwave.cli import main
 
 
@@ -175,6 +176,43 @@ def test_profile_clamps_to_computed_rear(capsys):
     assert all(b < a for a, b in zip(us, us[1:]))
 
 
+def test_profile_wholly_ahead_is_exponential_tail(capsys):
+    code, out, _ = run_cli(capsys, "profile", "--uc", "0.3", "--y-min", "1",
+                           "--y-max", "3", "--samples", "51")
+    assert code == 0
+    _, rows = parse_csv(out)
+    _, solved, _ = run_cli(capsys, "solve", "--uc", "0.3")
+    v = json.loads(solved)["v_star"]
+    assert len(rows) == 51
+    for y, u, up in ((float(c) for c in row) for row in rows):
+        decay = math.exp(-v * y)
+        assert (u, up) == (0.3 * decay, -v * 0.3 * decay)
+
+
+def test_profile_wholly_behind(capsys):
+    code, out, _ = run_cli(capsys, "profile", "--uc", "0.3", "--y-max", "-1",
+                           "--samples", "51")
+    assert code == 0
+    _, rows = parse_csv(out)
+    ys = [float(r[0]) for r in rows]
+    us = [float(r[1]) for r in rows]
+    assert len(rows) == 51 and ys[-1] == -1.0
+    assert all(0.3 < b < a < 1.0 for a, b in zip(us, us[1:]))
+
+
+def test_profile_prints_assembled_profile(capsys):
+    # the command and the library share one evaluator for the wave
+    code, out, _ = run_cli(capsys, "profile", "--uc", "0.5", "--y-min", "-5",
+                           "--y-max", "2", "--samples", "101")
+    assert code == 0
+    sol = solve_speed(make_cutoff(fisher(), 0.5))
+    prof = assemble_profile(sol, -5.0, 2.0, 101)
+    expected = [[format(x, ".17g") for x in row]
+                for row in zip(prof.y.tolist(), prof.u.tolist(),
+                               prof.uprime.tolist())]
+    assert parse_csv(out)[1] == expected
+
+
 def test_reference_json(capsys):
     code, out, _ = run_cli(capsys, "reference")
     assert code == 0
@@ -287,6 +325,15 @@ def test_config_rejects_unknown_key(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "solve", "--uc", "0.5")
     assert code == 2
     assert "tol_oed" in err
+
+
+def test_config_rejects_unknown_reaction(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("reaction=nope\n")
+    monkeypatch.setenv("PTW_CONFIG", str(cfg))
+    code, _, err = run_cli(capsys, "solve", "--uc", "0.5")
+    assert code == 2
+    assert "unknown reaction" in err
 
 
 def test_output_file(capsys, tmp_path):

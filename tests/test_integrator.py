@@ -1,9 +1,11 @@
 import math
+from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from cutoffwave import (IntegrationControl, PhaseState, ReactionSpec,
-                        SpanExceeded, StepFailure, fisher,
+                        SpanExceeded, StepFailure, Trajectory, fisher,
                         integrate_until_alpha, make_cutoff,
                         trace_field_until_alpha, trace_until_alpha,
                         unstable_manifold_start)
@@ -85,6 +87,52 @@ def test_rest_energy_oracle_along_path(u_c, v):
         prev_alpha = a
         if v == 0.0:
             assert abs(b + math.sqrt(fisher_energy(a, u_c))) < 1e-8
+
+
+def _cutoff_path():
+    cut = make_cutoff(fisher(), 0.3)
+    v = 0.7
+    return trace_until_alpha(cut, v, unstable_manifold_start(cut, v), 0.05)
+
+
+def test_sample_array_equals_pointwise():
+    # both zones, so the path spans the split at u_c; the grid holds the
+    # ends and every segment start, where the segment lookup switches
+    _, traj = _cutoff_path()
+    starts = [seg[0] for seg in traj._segments]
+    ys = np.unique(np.concatenate([
+        np.linspace(traj.y_start, traj.y_end, 997), starts,
+        [traj.y_start, traj.y_end]]))
+    assert ys[0] == traj.y_start and ys[-1] == traj.y_end
+    a, b = traj.sample(ys)
+    assert a.shape == b.shape == ys.shape
+    for y, ai, bi in zip(ys.tolist(), a.tolist(), b.tolist()):
+        assert traj.sample(y) == (ai, bi)
+        # the scalar Horner form of the segment, in the same float order
+        i = max(bisect_right(starts, y) - 1, 0)
+        y0, h, w0, p0, qw, qp = traj._segments[i]
+        t = (y - y0) / h
+        ea = math.exp(w0 + h * t * (qw[0] + t * (qw[1] + t * (qw[2]
+                                                             + t * qw[3]))))
+        eb = ea * (p0 + h * t * (qp[0] + t * (qp[1] + t * (qp[2]
+                                                          + t * qp[3]))))
+        assert (ai, bi) == (ea, eb)
+    empty = traj.sample(np.empty(0))
+    assert empty[0].size == 0 and empty[1].size == 0
+
+
+def test_sample_array_range_check():
+    _, traj = _cutoff_path()
+    inside = np.linspace(traj.y_start, traj.y_end, 11)
+    for bad in (traj.y_start - 1e-6, traj.y_end + 1e-6):
+        ys = np.append(inside, bad)
+        with pytest.raises(ValueError, match="outside sampled range"):
+            traj.sample(ys)
+        with pytest.raises(ValueError, match="outside sampled range"):
+            traj.sample(bad)
+    traj.sample(np.array([traj.y_end + 5e-13]))  # within the 1e-12 slack
+    with pytest.raises(ValueError, match="empty trajectory"):
+        Trajectory(0.0).sample(np.array([0.0]))
 
 
 def test_refraction_across_threshold():

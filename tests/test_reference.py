@@ -86,8 +86,8 @@ def test_fit_recovers_planted_edge(fisher_reference):
         y_end = 40.0
 
         def sample(self, y):
-            u = (2.0 * y + 1.0) * math.exp(-y)
-            return u, -(2.0 * y - 1.0) * math.exp(-y)
+            u = (2.0 * y + 1.0) * np.exp(-y)
+            return u, -(2.0 * y - 1.0) * np.exp(-y)
 
     wave = ReferenceWave(profile=fisher_reference.profile, y_shift=0.0,
                          reaction=fisher_reference.reaction,

@@ -191,15 +191,14 @@ def test_fit_rear_constant_needs_tail(fisher_half):
 
 
 def test_assemble_profile_ranges(fisher_half):
-    cut = make_cutoff(fisher(), 0.5)
-    prof = assemble_profile(fisher_half, cut, y_min=-5.0, y_max=2.0,
+    prof = assemble_profile(fisher_half, y_min=-5.0, y_max=2.0,
                             n_samples=101)
     assert prof.y.size == 101
     assert prof.y[0] == pytest.approx(-5.0)
     assert prof.y[-1] == pytest.approx(2.0)
     assert np.any(prof.y == 0.0)
     with pytest.raises(ValueError):
-        assemble_profile(fisher_half, cut, y_min=1.0, y_max=2.0)
+        assemble_profile(fisher_half, y_min=1.0, y_max=2.0)
 
 
 def test_max_iterations_raised():
