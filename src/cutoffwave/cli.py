@@ -268,10 +268,10 @@ def _cmd_profile(args, filecfg) -> int:
     u, up = sol.sample(grid + shift)
     fmt = run.output_format or "csv"
     if fmt == "csv":
-        # numpy floats format exactly as Python floats do
-        _emit(_csv(["y", "U", "Uprime"],
-                   ([_fmt(y), _fmt(a), _fmt(b)]
-                    for y, a, b in zip(grid, u, up))), run.output_path)
+        # one template per row; numpy floats format exactly as Python
+        # floats do, and "%.17g" exactly as _fmt
+        rows = map("%.17g,%.17g,%.17g".__mod__, zip(grid, u, up))
+        _emit("\n".join(["y,U,Uprime", *rows]) + "\n", run.output_path)
     elif fmt == "json":
         _emit(_json_text([{"y": y, "U": a, "Uprime": b} for y, a, b in
                           zip(grid.tolist(), u.tolist(), up.tolist())]),

@@ -17,6 +17,9 @@ control is relative to alpha and the slope ratio beta/alpha at a small
 threshold is resolved as sharply as at a large one.  Everything outside
 the stepper reads and writes (alpha, beta) = (e^w, e^w * p); the dense
 output is read back by ``Trajectory.sample`` at one y or an array of y.
+A shot that needs only its event record (``dense=False``) stores no
+segments and builds the interpolant only on the step that crosses the
+event, where the crossing is localized.
 
 Threshold crossings (alpha reaching a target level, i.e. w reaching its
 logarithm) are terminal events, localized by bisection on the
@@ -232,14 +235,15 @@ class _Integration:
     beta) point where the last leg stopped, the start until one moves.
     """
 
-    __slots__ = ("v", "control", "y", "w", "p", "h", "state", "n_steps",
-                 "n_rejects", "trajectory")
+    __slots__ = ("v", "control", "dense", "y", "w", "p", "h", "state",
+                 "n_steps", "n_rejects", "trajectory")
 
     def __init__(self, v: float, start: PhaseState, y0: float,
-                 control: IntegrationControl) -> None:
+                 control: IntegrationControl, *, dense: bool = True) -> None:
         a = start.alpha
         self.v = v
         self.control = control
+        self.dense = dense
         self.y = y0
         # next to the saddle a = 1 - eps and a - 1 is exact, so log1p
         # keeps every digit of eps; elsewhere log is the accurate form
@@ -269,6 +273,8 @@ class _Integration:
         y_limit = self.trajectory.y_start + self.control.max_span
         w_stop = math.log(alpha_stop)
         exp = math.exp
+        dense = self.dense
+        segments = self.trajectory._segments
         y, w, p, h = self.y, self.w, self.p, self.h
         u = exp(w)
         dp = -p * (p + v) - rate(u) / u
@@ -331,28 +337,31 @@ class _Integration:
                     _MIN_FACTOR, _SAFETY * err ** -0.2)
                 continue
 
-            qw = (_P1[0] * p + _P3[0] * p3 + _P4[0] * p4 + _P5[0] * p5
-                  + _P6[0] * p6 + _P7[0] * p_new,
-                  _P1[1] * p + _P3[1] * p3 + _P4[1] * p4 + _P5[1] * p5
-                  + _P6[1] * p6 + _P7[1] * p_new,
-                  _P1[2] * p + _P3[2] * p3 + _P4[2] * p4 + _P5[2] * p5
-                  + _P6[2] * p6 + _P7[2] * p_new,
-                  _P1[3] * p + _P3[3] * p3 + _P4[3] * p4 + _P5[3] * p5
-                  + _P6[3] * p6 + _P7[3] * p_new)
-            qp = (_P1[0] * dp + _P3[0] * dp3 + _P4[0] * dp4 + _P5[0] * dp5
-                  + _P6[0] * dp6 + _P7[0] * dp7,
-                  _P1[1] * dp + _P3[1] * dp3 + _P4[1] * dp4 + _P5[1] * dp5
-                  + _P6[1] * dp6 + _P7[1] * dp7,
-                  _P1[2] * dp + _P3[2] * dp3 + _P4[2] * dp4 + _P5[2] * dp5
-                  + _P6[2] * dp6 + _P7[2] * dp7,
-                  _P1[3] * dp + _P3[3] * dp3 + _P4[3] * dp4 + _P5[3] * dp5
-                  + _P6[3] * dp6 + _P7[3] * dp7)
-            self.trajectory._segments.append((y, h, w, p, qw, qp))
+            crossed = w_new <= w_stop
+            if dense or crossed:
+                qw = (_P1[0] * p + _P3[0] * p3 + _P4[0] * p4 + _P5[0] * p5
+                      + _P6[0] * p6 + _P7[0] * p_new,
+                      _P1[1] * p + _P3[1] * p3 + _P4[1] * p4 + _P5[1] * p5
+                      + _P6[1] * p6 + _P7[1] * p_new,
+                      _P1[2] * p + _P3[2] * p3 + _P4[2] * p4 + _P5[2] * p5
+                      + _P6[2] * p6 + _P7[2] * p_new,
+                      _P1[3] * p + _P3[3] * p3 + _P4[3] * p4 + _P5[3] * p5
+                      + _P6[3] * p6 + _P7[3] * p_new)
+                qp = (_P1[0] * dp + _P3[0] * dp3 + _P4[0] * dp4 + _P5[0] * dp5
+                      + _P6[0] * dp6 + _P7[0] * dp7,
+                      _P1[1] * dp + _P3[1] * dp3 + _P4[1] * dp4 + _P5[1] * dp5
+                      + _P6[1] * dp6 + _P7[1] * dp7,
+                      _P1[2] * dp + _P3[2] * dp3 + _P4[2] * dp4 + _P5[2] * dp5
+                      + _P6[2] * dp6 + _P7[2] * dp7,
+                      _P1[3] * dp + _P3[3] * dp3 + _P4[3] * dp4 + _P5[3] * dp5
+                      + _P6[3] * dp6 + _P7[3] * dp7)
+                if dense:
+                    segments.append((y, h, w, p, qw, qp))
             self.n_steps += 1
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
 
-            if w_new <= w_stop:
+            if crossed:
                 t = _bisect_theta(w, h, qw, w_stop)
                 y_event = y + t * h
                 p_event = _quartic(p, h, qp, t)
@@ -367,7 +376,6 @@ class _Integration:
             y += h
             w, p, dp = w_new, p_new, dp7  # FSAL
             h *= factor
-            self.trajectory.y_end = y
 
     def _store(self, y: float, w: float, p: float, h: float) -> None:
         a = math.exp(w)
@@ -388,9 +396,10 @@ class _Integration:
         s = max(0.0, (alpha_stop - a) / beta)  # a may round below the level
         p_event = beta / alpha_stop
         if s > 0.0:
-            self.trajectory._segments.append(
-                (y, s, w, p, ((w_stop - w) / s, 0.0, 0.0, 0.0),
-                 ((p_event - p) / s, 0.0, 0.0, 0.0)))
+            if self.dense:
+                self.trajectory._segments.append(
+                    (y, s, w, p, ((w_stop - w) / s, 0.0, 0.0, 0.0),
+                     ((p_event - p) / s, 0.0, 0.0, 0.0)))
             self.n_steps += 1
         self.y, self.w, self.p, self.h = y + s, w_stop, p_event, h
         self.state = PhaseState(alpha_stop, beta)
@@ -414,8 +423,15 @@ def unstable_manifold_start(cutoff: CutoffReaction, v: float,
 def trace_until_alpha(cutoff: CutoffReaction, v: float, start: PhaseState,
                       alpha_target: float,
                       control: IntegrationControl | None = None,
+                      *, dense: bool = True,
                       ) -> tuple[EventRecord, Trajectory]:
-    """Like :func:`integrate_until_alpha` but also returns the dense path."""
+    """Like :func:`integrate_until_alpha` but also returns the dense path.
+
+    With ``dense`` false the returned path is empty: no segment is
+    stored and the dense-output coefficients are built only on the step
+    that crosses the event, so a shot that only needs its record (a
+    bracket or bisection shot) costs no memory.  The record is the same.
+    """
     if control is None:
         control = IntegrationControl()
     if v < 0.0:
@@ -423,7 +439,7 @@ def trace_until_alpha(cutoff: CutoffReaction, v: float, start: PhaseState,
     if alpha_target <= 0.0 or start.alpha < alpha_target:
         raise ValueError("need start.alpha >= alpha_target > 0")
 
-    run = _Integration(v, start, 0.0, control)
+    run = _Integration(v, start, 0.0, control, dense=dense)
     u_c = cutoff.u_c
     base_f = cutoff.base.f
     # legs of smooth dynamics: above the threshold the gated rate equals
@@ -454,7 +470,8 @@ def integrate_until_alpha(cutoff: CutoffReaction, v: float, start: PhaseState,
     first (the trajectory turned, i.e. stalled above the target level)
     and StepFailure on step-size underflow.
     """
-    record, _ = trace_until_alpha(cutoff, v, start, alpha_target, control)
+    record, _ = trace_until_alpha(cutoff, v, start, alpha_target, control,
+                                  dense=False)
     return record
 
 

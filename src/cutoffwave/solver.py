@@ -10,12 +10,15 @@ crossing, and forms the residual
 which is negative below v* (the trajectory undershoots the stable
 manifold beta = -v*alpha) and positive above it.  r is monotone across
 the admissible speed interval, so bisection inside a sign-changing
-bracket is unconditionally safe.  The shot is integrated in (ln U, U'/U),
-so p + v, which carries the sign, is resolved to the integration
-tolerance at every threshold.  The bracket is collapsed to a width
-floor near machine precision and the residual criterion is then
-verified at the final midpoint: stopping on r alone cannot pin the
-speed for small u_c, since r carries the factor u_c.
+bracket is unconditionally safe.  The bracket never reaches past the
+KPP bound 2 (the paper proves v* < 2), so no trial speed is stiff.  The
+shot is integrated in (ln U, U'/U), so p + v, which carries the sign, is
+resolved to the integration tolerance at every threshold.  The bracket
+is collapsed to a width floor near machine precision and the residual
+criterion is then verified at the final midpoint: stopping on r alone
+cannot pin the speed for small u_c, since r carries the factor u_c.
+Only that final shot keeps its dense path; bracket and bisection shots
+return their event record alone.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ TURNED_SENTINEL = 1.0
 
 #: bisection stops once the speed bracket is this narrow (v is O(1))
 _BRACKET_WIDTH_FLOOR = 1e-14
+
+#: the bracket's top: the paper's v*(u_c) < 2, the KPP bound 2*sqrt(f'(0))
+#: of a normalised reaction
+_SPEED_CAP = 2.0
 
 
 @dataclass(frozen=True)
@@ -108,12 +115,21 @@ class SpeedCurve:
     failures: dict[float, str] = field(default_factory=dict)
 
 
+def _check_start(cutoff: CutoffReaction, config: ShootingConfig) -> None:
+    if cutoff.u_c >= 1.0 - config.epsilon_manifold:
+        raise ValueError(
+            f"u_c={cutoff.u_c!r} is not below 1 - epsilon_manifold "
+            f"(epsilon_manifold={config.epsilon_manifold:g}), where every "
+            "shot starts; use a smaller --epsilon-manifold")
+
+
 def _shoot(cutoff: CutoffReaction, v: float, config: ShootingConfig,
+           dense: bool = False,
            ) -> tuple[float, EventRecord | None, Trajectory | None]:
     start = unstable_manifold_start(cutoff, v, config.epsilon_manifold)
     try:
         record, traj = trace_until_alpha(cutoff, v, start, cutoff.u_c,
-                                         config.control)
+                                         config.control, dense=dense)
     except SpanExceeded:
         return TURNED_SENTINEL, None, None
     return cutoff.u_c * (record.log_slope + v), record, traj
@@ -125,8 +141,11 @@ def shoot_residual(cutoff: CutoffReaction, v: float,
 
     Returns the positive sentinel +1 when the trajectory turns before
     reaching the threshold, which happens only above the wave speed.
+    Raises ValueError when u_c is not below 1 - epsilon_manifold.
     """
-    r, _, _ = _shoot(cutoff, v, config or ShootingConfig())
+    config = config or ShootingConfig()
+    _check_start(cutoff, config)
+    r, _, _ = _shoot(cutoff, v, config)
     return r
 
 
@@ -135,12 +154,17 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     """Find the unique wave speed v*(u_c) by bracketed bisection.
 
     A guess seeds a bracket of half-width ``config.bracket_pad`` that is
-    widened geometrically (clipped to [0, v_upper_bound]) until the
-    residual changes sign across it.
+    widened geometrically (clipped to [0, min(2, v_upper_bound)]) until
+    the residual changes sign across it.  Raises ValueError when u_c is
+    not below 1 - epsilon_manifold.
     """
     if config is None:
         config = ShootingConfig()
-    vub = v_upper_bound(cutoff)
+    _check_start(cutoff, config)
+    vub = min(_SPEED_CAP, v_upper_bound(cutoff))
+
+    def residual(v: float) -> float:
+        return _shoot(cutoff, v, config)[0]
 
     if guess is None:
         lo, hi = 0.0, vub
@@ -149,18 +173,18 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
         hi = min(guess + config.bracket_pad, vub)
         if lo >= hi:
             lo, hi = 0.0, vub
-    r_lo = shoot_residual(cutoff, lo, config)
-    r_hi = shoot_residual(cutoff, hi, config)
+    r_lo = residual(lo)
+    r_hi = residual(hi)
     while r_lo >= 0.0 or r_hi < 0.0:
         if lo <= 0.0 and hi >= vub:
             break
         width = hi - lo
         if r_lo >= 0.0:
             lo = max(0.0, lo - width)
-            r_lo = shoot_residual(cutoff, lo, config)
+            r_lo = residual(lo)
         if r_hi < 0.0:
             hi = min(vub, hi + width)
-            r_hi = shoot_residual(cutoff, hi, config)
+            r_hi = residual(hi)
     if r_lo >= 0.0 and lo <= 0.0:
         raise NoSignChange(
             f"residual at v=0 is {r_lo:.3e} >= 0 for u_c={cutoff.u_c}; "
@@ -172,7 +196,7 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     n_iter = 0
     while (hi - lo) > _BRACKET_WIDTH_FLOOR and n_iter < config.max_bisections:
         mid = 0.5 * (lo + hi)
-        r_mid = shoot_residual(cutoff, mid, config)
+        r_mid = residual(mid)
         n_iter += 1
         if r_mid == 0.0:
             lo = hi = mid
@@ -183,7 +207,7 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
             hi = mid
 
     v_star = 0.5 * (lo + hi)
-    r_final, record, traj = _shoot(cutoff, v_star, config)
+    r_final, record, traj = _shoot(cutoff, v_star, config, dense=True)
     if record is None or abs(r_final) > config.residual_tol:
         raise MaxIterations(
             f"residual {r_final:.3e} exceeds {config.residual_tol:g} after "

@@ -55,6 +55,12 @@ def test_solve_rejects_out_of_range(capsys):
     assert "(0, 1)" in err
 
 
+def test_solve_threshold_above_manifold_start(capsys):
+    code, _, err = run_cli(capsys, "solve", "--uc", "0.99999999999")
+    assert code == 2
+    assert "epsilon_manifold" in err and "--epsilon-manifold" in err
+
+
 def test_solve_numerical_failure_exit(capsys):
     # an unmeetable residual criterion surfaces as a numerical failure
     code, _, err = run_cli(capsys, "solve", "--uc", "0.5", "--tol-shoot",

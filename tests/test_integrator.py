@@ -254,6 +254,16 @@ def test_zero_target_refused():
         trace_field_until_alpha(fisher().f, 2.0, start, 0.0)
 
 
+def test_record_only_shot_matches_dense_shot():
+    cut = make_cutoff(fisher(), 0.3)
+    start = unstable_manifold_start(cut, 0.8)
+    dense, path = trace_until_alpha(cut, 0.8, start, 0.3)
+    bare, empty = trace_until_alpha(cut, 0.8, start, 0.3, dense=False)
+    assert bare == dense
+    assert len(path) > 0 and len(empty) == 0
+    assert integrate_until_alpha(cut, 0.8, start, 0.3) == dense
+
+
 def test_step_counts_reported():
     cut = make_cutoff(fisher(), 0.5)
     ev = integrate_until_alpha(cut, 0.3, unstable_manifold_start(cut, 0.3),

@@ -103,11 +103,46 @@ def test_tiny_threshold_speed_follows_three_term(u_c, fisher_constants):
     assert abs(sol.v_star - pred.three_term) < 5.0 / abs(math.log(u_c)) ** 3
 
 
-def test_warm_start_matches_cold_start():
-    cut = make_cutoff(fisher(), 0.4)
+@pytest.mark.parametrize("u_c", [0.4, 1e-8, 1e-10])
+def test_warm_start_matches_cold_start(u_c):
+    # the cold bracket tops out at the KPP bound 2, not at the stiff
+    # sqrt(sup f / u_c) (5e4 at u_c = 1e-10)
+    cut = make_cutoff(fisher(), u_c)
     cold = solve_speed(cut)
     warm = solve_speed(cut, guess=cold.v_star)
-    assert warm.v_star == pytest.approx(cold.v_star, abs=1e-10)
+    assert warm.v_star == pytest.approx(cold.v_star, abs=1e-12)
+    assert cold.bracket[1] <= 2.0 and warm.bracket[1] <= 2.0
+
+
+def test_threshold_at_manifold_start_refused():
+    # every shot starts at U = 1 - epsilon_manifold, above the threshold
+    cut = make_cutoff(fisher(), 1.0 - 1e-11)
+    with pytest.raises(ValueError, match="epsilon_manifold"):
+        solve_speed(cut)
+    with pytest.raises(ValueError, match="epsilon_manifold"):
+        shoot_residual(cut, 0.5)
+    with pytest.raises(ValueError, match="epsilon_manifold"):
+        solve_speed(make_cutoff(fisher(), 1.0 - 1e-10))
+    assert solve_speed(cut, config=ShootingConfig(
+        epsilon_manifold=1e-12)).v_star < 1e-10
+
+
+def test_only_final_shot_keeps_path(monkeypatch):
+    from cutoffwave import solver
+
+    trace = solver.trace_until_alpha
+    kept = []
+
+    def spy(*args, **kwargs):
+        record, path = trace(*args, **kwargs)
+        kept.append(len(path))
+        return record, path
+
+    monkeypatch.setattr(solver, "trace_until_alpha", spy)
+    sol = solve_speed(make_cutoff(fisher(), 0.3))
+    assert len(kept) == sol.n_iterations + 3  # two bracket shots
+    assert kept[-1] == len(sol.trajectory) > 0
+    assert not any(kept[:-1])
 
 
 def test_solution_contract(fisher_half):
