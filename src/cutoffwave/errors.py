@@ -24,8 +24,8 @@ class NoSignChange(CutoffWaveError):
 
 
 class MaxIterations(CutoffWaveError):
-    """Bisection hit its iteration cap before meeting the residual
-    criterion."""
+    """The speed search hit its shot cap before its bracket reached the
+    width floor, or the final shot missed the residual criterion."""
 
 
 class InsufficientTail(CutoffWaveError):

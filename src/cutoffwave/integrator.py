@@ -430,7 +430,7 @@ def trace_until_alpha(cutoff: CutoffReaction, v: float, start: PhaseState,
     With ``dense`` false the returned path is empty: no segment is
     stored and the dense-output coefficients are built only on the step
     that crosses the event, so a shot that only needs its record (a
-    bracket or bisection shot) costs no memory.  The record is the same.
+    bracket or root-finder shot) costs no memory.  The record is the same.
     """
     if control is None:
         control = IntegrationControl()

@@ -8,24 +8,26 @@ crossing, and forms the residual
     r(v) = U_T'(event) + v*u_c = u_c*(p + v),   p = U_T'/U_T at the event,
 
 which is negative below v* (the trajectory undershoots the stable
-manifold beta = -v*alpha) and positive above it.  r is monotone across
-the admissible speed interval, so bisection inside a sign-changing
-bracket is unconditionally safe.  The bracket never reaches past the
-KPP bound 2 (the paper proves v* < 2), so no trial speed is stiff.  The
-shot is integrated in (ln U, U'/U), so p + v, which carries the sign, is
-resolved to the integration tolerance at every threshold.  The bracket
-is collapsed to a width floor near machine precision and the residual
-criterion is then verified at the final midpoint: stopping on r alone
-cannot pin the speed for small u_c, since r carries the factor u_c.
-Only that final shot keeps its dense path; bracket and bisection shots
-return their event record alone.
+manifold beta = -v*alpha) and positive above it.  r changes sign once,
+at v*, and is smooth on both sides, so a bracketed Brent-Dekker search
+(inverse quadratic and secant steps, falling back to bisection) pins it
+in a few shots and never falls far behind bisection.  The bracket never
+reaches past the KPP bound 2 (the paper proves v* < 2), so no trial
+speed is stiff.  The shot is integrated in (ln U, U'/U), so p + v, which
+carries the sign, is resolved to the integration tolerance at every
+threshold.  The bracket is collapsed to a width floor near machine
+precision and the residual criterion is then verified at the final
+midpoint: stopping on r alone cannot pin the speed for small u_c, since
+r carries the factor u_c.  Only that final shot keeps its dense path;
+bracket and root-finder shots return their event record alone.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,8 +41,13 @@ from .reaction import (CutoffReaction, ReactionSpec, lambda_plus,
 #: residual returned when the trajectory stalls above the target level
 TURNED_SENTINEL = 1.0
 
-#: bisection stops once the speed bracket is this narrow (v is O(1))
+#: the root finder stops once the speed bracket is this narrow (v is O(1))
 _BRACKET_WIDTH_FLOOR = 1e-14
+
+#: the bracket may lag this many halvings behind bisection's pace before
+#: a bisection step is forced, so a search takes at most this many shots
+#: (plus one) more than bisection would
+_BISECTION_SLACK = 8
 
 #: the bracket's top: the paper's v*(u_c) < 2, the KPP bound 2*sqrt(f'(0))
 #: of a normalised reaction
@@ -52,6 +59,7 @@ class ShootingConfig:
     residual_tol: float = 1e-8
     epsilon_manifold: float = 1e-10
     control: IntegrationControl = field(default_factory=IntegrationControl)
+    #: caps the root finder's shots (bracket and final shots not counted)
     max_bisections: int = 200
     bracket_pad: float = 0.25
 
@@ -149,14 +157,78 @@ def shoot_residual(cutoff: CutoffReaction, v: float,
     return r
 
 
+def _brent(f: Callable[[float], float], lo: float, hi: float, r_lo: float,
+           r_hi: float, max_iter: int) -> tuple[float, float, int]:
+    """Collapse a bracket with f(lo) = r_lo < 0 <= r_hi = f(hi).
+
+    Brent's zeroin (*Algorithms for Minimization without Derivatives*,
+    1973): b is the best point and [b, c] keeps a sign change, r < 0 on
+    the low side and r >= 0 on the high side.  Each step is inverse
+    quadratic interpolation or a secant, or a bisection whenever the
+    interpolated step is unsafe, a point carries the turned-shot
+    sentinel, or the bracket lags more than _BISECTION_SLACK halvings
+    behind bisection's pace.  Stops once the half-width is within
+    2*eps*|b| + _BRACKET_WIDTH_FLOOR/2, or on an exact zero, returned as
+    (b, b).  Returns the final bracket and the number of calls of f;
+    raises MaxIterations when max_iter calls leave the bracket wider.
+    """
+    # c starts equal to b, so the first pass sets c = a and the steps d, e
+    a, fa, b, fb, c, fc = lo, r_lo, hi, r_hi, hi, r_hi
+    width0, n = hi - lo, 0
+    while True:
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = (2.0 * sys.float_info.epsilon * abs(b)
+               + 0.5 * _BRACKET_WIDTH_FLOOR)
+        m = 0.5 * (c - b)
+        if fb == 0.0:
+            return b, b, n
+        if abs(m) <= tol:
+            return min(b, c), max(b, c), n
+        if n >= max_iter:
+            raise MaxIterations(
+                f"bracket width {abs(c - b):.3e} is still above the floor "
+                f"{_BRACKET_WIDTH_FLOOR:g} after the cap of {n} shots")
+        if (abs(e) < tol or abs(fa) <= abs(fb)
+                or TURNED_SENTINEL in (fa, fb, fc)
+                or abs(c - b) > width0 * 2.0 ** (_BISECTION_SLACK - n)):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b, c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        n += 1
+
+
 def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
                 config: ShootingConfig | None = None) -> WaveSolution:
-    """Find the unique wave speed v*(u_c) by bracketed bisection.
+    """Find the unique wave speed v*(u_c) by a bracketed Brent search.
 
     A guess seeds a bracket of half-width ``config.bracket_pad`` that is
     widened geometrically (clipped to [0, min(2, v_upper_bound)]) until
-    the residual changes sign across it.  Raises ValueError when u_c is
-    not below 1 - epsilon_manifold.
+    the residual changes sign across it.  The bracket is then collapsed
+    to ``_BRACKET_WIDTH_FLOOR``; ``v_star`` is its midpoint and
+    ``n_iterations`` the number of root-finder shots.  Raises
+    MaxIterations when ``config.max_bisections`` shots leave the bracket
+    wider or the final residual misses ``config.residual_tol``, and
+    ValueError when u_c is not below 1 - epsilon_manifold.
     """
     if config is None:
         config = ShootingConfig()
@@ -193,25 +265,14 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
         raise NoSignChange(
             f"residual stays negative up to the speed bound {vub:.6g}")
 
-    n_iter = 0
-    while (hi - lo) > _BRACKET_WIDTH_FLOOR and n_iter < config.max_bisections:
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        n_iter += 1
-        if r_mid == 0.0:
-            lo = hi = mid
-            break
-        if r_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-
+    lo, hi, n_iter = _brent(residual, lo, hi, r_lo, r_hi,
+                            config.max_bisections)
     v_star = 0.5 * (lo + hi)
     r_final, record, traj = _shoot(cutoff, v_star, config, dense=True)
     if record is None or abs(r_final) > config.residual_tol:
         raise MaxIterations(
             f"residual {r_final:.3e} exceeds {config.residual_tol:g} after "
-            f"{n_iter} bisections (bracket width {hi - lo:.3e})")
+            f"{n_iter} root-finder shots (bracket width {hi - lo:.3e})")
 
     solution = WaveSolution(
         u_c=cutoff.u_c, v_star=v_star, residual=r_final, bracket=(lo, hi),

@@ -8,6 +8,7 @@ from cutoffwave import (InsufficientTail, MaxIterations, NoSignChange,
                         fisher, fit_rear_constant, lambda_plus, make_cutoff,
                         shoot_residual, small_uc_speed, solve_speed, sweep,
                         v_upper_bound)
+from cutoffwave import solver
 
 # Independent high-accuracy speeds, frozen from a phase-plane formulation
 # d(beta)/d(alpha) = -v - f/beta solved with an eighth-order method at
@@ -240,6 +241,106 @@ def test_max_iterations_raised():
     cut = make_cutoff(fisher(), 0.5)
     with pytest.raises(MaxIterations):
         solve_speed(cut, config=ShootingConfig(max_bisections=3))
+
+
+def test_cap_before_width_floor_raised():
+    # at small u_c the residual carries the factor u_c, so a loose speed
+    # (1.984375 against 1.98024408) still meets the residual criterion
+    cut = make_cutoff(fisher(), 1e-10)
+    with pytest.raises(MaxIterations, match="bracket width"):
+        solve_speed(cut, config=ShootingConfig(max_bisections=6))
+
+
+def _bisection_shots(f, lo, hi):
+    """Shots plain bisection takes to collapse [lo, hi] to the floor."""
+    n = 0
+    while hi - lo > solver._BRACKET_WIDTH_FLOOR:
+        mid = 0.5 * (lo + hi)
+        r = f(mid)
+        n += 1
+        if r == 0.0:
+            break
+        lo, hi = (mid, hi) if r < 0.0 else (lo, mid)
+    return n
+
+
+def _run_brent(f, lo, hi, max_iter=200):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    lo, hi, n = solver._brent(counted, lo, hi, f(lo), f(hi), max_iter)
+    assert n == len(calls)
+    return lo, hi, n, calls
+
+
+def test_brent_smooth_root():
+    root = math.log(3.0)
+    f = lambda v: math.exp(v) - 3.0  # noqa: E731
+    lo, hi, n, _ = _run_brent(f, 0.0, 2.0)
+    assert f(lo) < 0.0 <= f(hi) or lo == hi
+    assert hi - lo <= 1e-14
+    assert abs(0.5 * (lo + hi) - root) <= 1e-14
+    assert n <= 12 < _bisection_shots(f, 0.0, 2.0)
+
+
+def test_brent_never_interpolates_turned_sentinel():
+    # above 1.3 the shot "turns" and returns the +1 sentinel; while the
+    # bracket's high end carries it every step must be a bisection
+    root = 0.7308957
+    f = lambda v: solver.TURNED_SENTINEL if v > 1.3 else v - root  # noqa: E731
+    lo, hi, n, calls = _run_brent(f, 0.0, 2.0)
+    assert lo <= root <= hi and hi - lo <= 1e-14
+    b_lo, b_hi = 0.0, 2.0
+    for x in calls:
+        if f(b_hi) == solver.TURNED_SENTINEL:
+            assert x == pytest.approx(0.5 * (b_lo + b_hi), abs=1e-15)
+        b_lo, b_hi = (x, b_hi) if f(x) < 0.0 else (b_lo, x)
+    assert f(b_hi) != solver.TURNED_SENTINEL and n <= 6
+
+
+def test_brent_stops_on_exact_zero():
+    # zero on all of [0.3, 0.7]: the first secant step lands inside it
+    f = lambda v: min(v - 0.3, 0.0) + max(v - 0.7, 0.0)  # noqa: E731
+    lo, hi, n, calls = _run_brent(f, 0.0, 2.0)
+    assert lo == hi == calls[-1] and f(lo) == 0.0
+    assert n == 1
+
+
+@pytest.mark.parametrize("f", [
+    lambda v: (v - 0.7308957) ** 3,
+    lambda v: math.copysign(abs(v - 0.7308957) ** 9, v - 0.7308957),
+    lambda v: -1.0 if v < 0.7308957 else 2.0,
+    lambda v: math.exp(40.0 * (v - 0.7308957)) - 1.0,
+    lambda v: (v - 0.7308957) * (1.0 if v < 0.7308957 else 1e6),
+], ids=["cube", "ninth-power", "step", "steep-exp", "kink"])
+def test_brent_keeps_bisection_worst_case(f):
+    # at most _BISECTION_SLACK + 1 shots beyond bisection; unguarded
+    # zeroin takes 141 shots on the cube over [0, 2], bisection 48
+    for lo, hi in ((0.0, 2.0), (0.5, 0.75), (0.0, 0.7309)):
+        b_lo, b_hi, n, _ = _run_brent(f, lo, hi)
+        assert b_lo <= 0.7308957 <= b_hi or f(b_lo) == 0.0
+        assert n <= _bisection_shots(f, lo, hi) + 9
+
+
+def test_few_shots_per_solve(monkeypatch):
+    shots = []
+    trace = solver.trace_until_alpha
+
+    def spy(*args, **kwargs):
+        shots.append(1)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "trace_until_alpha", spy)
+    grid = np.logspace(math.log10(0.9), -6.0, 10)
+    curve = sweep(fisher(), [float(u) for u in grid])
+    assert not curve.failures
+    assert len(shots) / len(curve.rows) <= 20  # 48 by bisection
+    sol = solve_speed(make_cutoff(fisher(), 0.5))
+    assert sol.n_iterations <= 12
+    assert sol.v_star == pytest.approx(REFERENCE_SPEEDS[0.5], abs=5e-9)
 
 
 def test_no_sign_change_for_malformed_reaction():
