@@ -15,8 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +24,8 @@ from .errors import CutoffWaveError
 from .integrator import IntegrationControl
 from .reaction import BUILTIN_REACTIONS, ReactionSpec, by_name, make_cutoff
 from .reference import AsymptoticConstants, fit_edge_constants, solve_reference
-from .solver import ShootingConfig, SpeedPoint, solve_speed, sweep
+from .solver import (ShootingConfig, SpeedPoint, snapped_grid, solve_speed,
+                     sweep)
 
 _CONFIG_ENV = "PTW_CONFIG"
 _CONFIG_KEYS = ("reaction", "tol_ode", "tol_shoot", "epsilon_manifold")
@@ -37,42 +37,47 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One command invocation: reaction, solver knobs and output routing.
+def _flat(row: tuple) -> tuple:
+    """The row with each (lo, hi) pair spread over two cells."""
+    return tuple(x for cell in row
+                 for x in (cell if isinstance(cell, tuple) else (cell,)))
 
-    Built by merging CLI flags over the optional PTW_CONFIG key=value
-    file over the defaults; flags always win.
+
+def _write(header: Sequence[str], rows: Iterable[tuple], fmt: str,
+           path: str | None, one: bool = False) -> None:
+    """Write a table to ``path``, or to stdout when it is None.
+
+    csv: the header line, then every row through one template, floats
+    with 17 significant digits; a (lo, hi) cell becomes the two columns
+    name_lo and name_hi.  json: a list of objects, or the single row's
+    object when ``one`` is set; a pair becomes an array.  svg: the speed
+    chart of compare's rows.
     """
-
-    reaction_name: str
-    reaction: ReactionSpec
-    solver: ShootingConfig
-    output_format: str | None
-    output_path: str | None
-    constants_source: str = "fit"
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
+    if fmt == "csv":
+        rows = iter(rows)
+        first = next(rows)  # every command writes at least one row
+        names = []
+        for name, cell in zip(header, first):
+            names += ([f"{name}_lo", f"{name}_hi"] if isinstance(cell, tuple)
+                      else [name])
+        if len(names) > len(header):
+            first, rows = _flat(first), map(_flat, rows)
+        # numpy floats format exactly as Python floats under "%.17g"
+        template = ",".join("%d" if isinstance(c, int) else "%.17g"
+                            for c in first)
+        text = "\n".join([",".join(names), template % first,
+                          *map(template.__mod__, rows)]) + "\n"
+    else:
+        records = [dict(zip(header, row)) for row in rows]
+        if fmt == "svg":
+            text = render_speed_chart(records)
+        else:
+            text = json.dumps(records[0] if one else records, indent=2) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _csv(header: list[str], rows: Iterable[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +107,12 @@ def _load_file_config() -> dict[str, str]:
     return out
 
 
-def _resolve(args, filecfg: dict[str, str]) -> RunConfig:
-    """Merge flag > config file > default into a RunConfig."""
+def _resolve(args) -> tuple[str, ReactionSpec, ShootingConfig]:
+    """Reaction name, reaction and solver settings of one invocation.
+
+    Each is merged from flag > PTW_CONFIG key=value file > default.
+    """
+    filecfg = _load_file_config()
     name = args.reaction or filecfg.get("reaction") or "fisher"
     if name not in BUILTIN_REACTIONS:
         raise UsageError(f"unknown reaction {name!r}; "
@@ -125,15 +134,11 @@ def _resolve(args, filecfg: dict[str, str]) -> RunConfig:
     eps = pick(args.epsilon_manifold, "epsilon_manifold", 1e-10)
     try:
         control = IntegrationControl(abs_tol=tol_ode, rel_tol=tol_ode)
-        solver = ShootingConfig(residual_tol=tol_shoot, epsilon_manifold=eps,
+        config = ShootingConfig(residual_tol=tol_shoot, epsilon_manifold=eps,
                                 control=control)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return RunConfig(reaction_name=name, reaction=by_name(name),
-                     solver=solver, output_format=args.format,
-                     output_path=args.output,
-                     constants_source=getattr(args, "constants_source",
-                                              "fit"))
+    return name, by_name(name), config
 
 
 def _check_uc(u_c: float, flag: str = "--uc") -> float:
@@ -141,6 +146,11 @@ def _check_uc(u_c: float, flag: str = "--uc") -> float:
         raise UsageError(
             f"{flag} must lie in the open interval (0, 1), got {u_c:g}")
     return u_c
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
 
 
 def _make_grid(uc_min: float, uc_max: float, count: int,
@@ -159,146 +169,95 @@ def _make_grid(uc_min: float, uc_max: float, count: int,
 
 
 # ---------------------------------------------------------------------------
-# independent (non-continuation) solving, optionally in worker processes
+# speed rows: a continuation sweep, or independent solves in worker processes
 
-def _solve_row_task(payload: tuple) -> tuple[float, float, float, int, str | None]:
+def _solve_row(payload: tuple) -> tuple[SpeedPoint, str | None]:
     name, u_c, config = payload
     try:
         sol = solve_speed(make_cutoff(by_name(name), u_c), None, config)
     except CutoffWaveError as exc:
-        return (u_c, math.nan, math.nan, 0, f"{type(exc).__name__}: {exc}")
-    return (u_c, sol.v_star, sol.residual, sol.n_iterations, None)
+        return (SpeedPoint(u_c, math.nan, math.nan, 0),
+                f"{type(exc).__name__}: {exc}")
+    return SpeedPoint(u_c, sol.v_star, sol.residual, sol.n_iterations), None
 
 
-def _solve_rows(run: RunConfig, values: list[float], jobs: int,
-                continuation: bool) -> tuple[list[SpeedPoint], dict[float, str]]:
-    config = run.solver
-    if continuation:
-        curve = sweep(run.reaction, values, config)
+def _solve_rows(name: str, reaction: ReactionSpec, config: ShootingConfig,
+                values: list[float], jobs: int,
+                ) -> tuple[list[SpeedPoint], dict[float, str]]:
+    """Speed rows for descending thresholds, failures kept alongside.
+
+    One job runs the warm-started ``sweep``; more solve every row cold
+    in a pool of at most one worker per row (reactions travel by name,
+    since a ReactionSpec need not pickle).
+    """
+    if jobs == 1:
+        curve = sweep(reaction, values, config)
         return curve.rows, curve.failures
-    payloads = [(run.reaction_name, u, config) for u in values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_solve_row_task, payloads))
-    else:
-        results = [_solve_row_task(p) for p in payloads]
-    rows, failures = [], {}
-    for u_c, v, r, n, err in results:
-        rows.append(SpeedPoint(u_c, v, r, n))
-        if err is not None:
-            failures[u_c] = err
-    return rows, failures
+    with ProcessPoolExecutor(max_workers=min(jobs, len(values))) as pool:
+        results = list(pool.map(_solve_row,
+                                [(name, u, config) for u in values]))
+    return ([row for row, _ in results],
+            {row.u_c: err for row, err in results if err is not None})
+
+
+def _report(failures: dict[float, str]) -> int:
+    for u_c, msg in failures.items():
+        print(f"u_c={u_c:g}: {msg}", file=sys.stderr)
+    return 3 if failures else 0
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_solve(args, filecfg) -> int:
-    run = _resolve(args, filecfg)
+def _cmd_solve(args, name, reaction, config) -> int:
     u_c = _check_uc(args.uc)
-    sol = solve_speed(make_cutoff(run.reaction, u_c), None, run.solver)
-    payload = {"u_c": sol.u_c, "v_star": sol.v_star,
-               "residual": sol.residual, "n_iterations": sol.n_iterations,
-               "bracket": [sol.bracket[0], sol.bracket[1]]}
-    fmt = run.output_format or "json"
-    if fmt == "json":
-        _emit(_json_text(payload), run.output_path)
-    elif fmt == "csv":
-        _emit(_csv(["u_c", "v_star", "residual", "n_iterations",
-                    "bracket_lo", "bracket_hi"],
-                   [[_fmt(sol.u_c), _fmt(sol.v_star), _fmt(sol.residual),
-                     str(sol.n_iterations), _fmt(sol.bracket[0]),
-                     _fmt(sol.bracket[1])]]), run.output_path)
-    else:
-        raise UsageError("solve supports --format json or csv")
+    sol = solve_speed(make_cutoff(reaction, u_c), None, config)
+    _write(["u_c", "v_star", "residual", "n_iterations", "bracket"],
+           [(sol.u_c, sol.v_star, sol.residual, sol.n_iterations,
+             sol.bracket)], args.format, args.output, one=True)
     return 0
 
 
-def _rows_to_speed_csv(rows: list[SpeedPoint]) -> str:
-    return _csv(["u_c", "v_star", "residual", "n_iterations"],
-                [[_fmt(r.u_c), _fmt(r.v_star), _fmt(r.residual),
-                  str(r.n_iterations)] for r in rows])
-
-
-def _cmd_sweep(args, filecfg) -> int:
-    run = _resolve(args, filecfg)
+def _cmd_sweep(args, name, reaction, config) -> int:
     if args.count < 2:
         raise UsageError("--count must be at least 2")
-    if args.jobs > 1 and not args.no_continuation:
-        raise UsageError("--jobs requires --no-continuation: warm-started "
-                         "rows depend on their predecessors")
+    _check_jobs(args.jobs)
     values = _make_grid(args.uc_min, args.uc_max, args.count, args.spacing)
-    rows, failures = _solve_rows(run, values, args.jobs,
-                                 continuation=not args.no_continuation)
-    fmt = run.output_format or "csv"
-    if fmt == "csv":
-        _emit(_rows_to_speed_csv(rows), run.output_path)
-    elif fmt == "json":
-        _emit(_json_text([{"u_c": r.u_c, "v_star": r.v_star,
-                           "residual": r.residual,
-                           "n_iterations": r.n_iterations} for r in rows]),
-              run.output_path)
-    else:
-        raise UsageError("sweep supports --format csv or json")
-    if failures:
-        for u_c, msg in failures.items():
-            print(f"u_c={u_c:g}: {msg}", file=sys.stderr)
-        return 3
-    return 0
+    rows, failures = _solve_rows(name, reaction, config, values, args.jobs)
+    _write(["u_c", "v_star", "residual", "n_iterations"],
+           [(r.u_c, r.v_star, r.residual, r.n_iterations) for r in rows],
+           args.format, args.output)
+    return _report(failures)
 
 
-def _cmd_profile(args, filecfg) -> int:
-    run = _resolve(args, filecfg)
+def _cmd_profile(args, name, reaction, config) -> int:
     u_c = _check_uc(args.uc)
     if args.y_min >= args.y_max:
         raise UsageError("--y-min must be below --y-max")
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
-    sol = solve_speed(make_cutoff(run.reaction, u_c), None, run.solver)
+    sol = solve_speed(make_cutoff(reaction, u_c), None, config)
 
     shift = sol.y_half if args.frame == "origin-at-half" else 0.0
     lo = max(args.y_min, -sol.y_event - shift)  # rear ends at the saddle
-    hi = args.y_max
-    if lo >= hi:
+    if lo >= args.y_max:
         raise UsageError("requested window lies entirely behind the "
                          f"computed rear (which starts at y = {lo:.3f})")
-    grid = np.linspace(lo, hi, args.samples)
-    if lo < 0.0 < hi:
-        grid[np.argmin(np.abs(grid))] = 0.0
+    grid = snapped_grid(lo, args.y_max, args.samples)
     u, up = sol.sample(grid + shift)
-    fmt = run.output_format or "csv"
-    if fmt == "csv":
-        # one template per row; numpy floats format exactly as Python
-        # floats do, and "%.17g" exactly as _fmt
-        rows = map("%.17g,%.17g,%.17g".__mod__, zip(grid, u, up))
-        _emit("\n".join(["y,U,Uprime", *rows]) + "\n", run.output_path)
-    elif fmt == "json":
-        _emit(_json_text([{"y": y, "U": a, "Uprime": b} for y, a, b in
-                          zip(grid.tolist(), u.tolist(), up.tolist())]),
-              run.output_path)
-    else:
-        raise UsageError("profile supports --format csv or json")
+    _write(["y", "U", "Uprime"], zip(grid, u, up), args.format, args.output)
     return 0
 
 
-def _cmd_reference(args, filecfg) -> int:
-    run = _resolve(args, filecfg)
+def _cmd_reference(args, name, reaction, config) -> int:
     lo, hi = args.window
     if lo >= hi:
         raise UsageError("--window needs lo < hi")
-    wave = solve_reference(run.reaction, run.solver.control)
-    constants = fit_edge_constants(wave, (lo, hi))
-    fmt = run.output_format or "json"
-    if fmt == "json":
-        _emit(_json_text(constants.to_json_dict()), run.output_path)
-    elif fmt == "csv":
-        _emit(_csv(["a_inf", "b_inf", "gamma", "window_lo", "window_hi",
-                    "residual"],
-                   [[_fmt(constants.a_inf), _fmt(constants.b_inf),
-                     _fmt(constants.gamma), _fmt(lo), _fmt(hi),
-                     _fmt(constants.fit_residual)]]), run.output_path)
-    else:
-        raise UsageError("reference supports --format json or csv")
+    wave = solve_reference(reaction, config.control)
+    c = fit_edge_constants(wave, (lo, hi))
+    _write(["a_inf", "b_inf", "gamma", "window", "residual"],
+           [(c.a_inf, c.b_inf, c.gamma, c.fit_window, c.fit_residual)],
+           args.format, args.output, one=True)
     return 0
 
 
@@ -330,63 +289,37 @@ _COMPARE_HEADER = ["u_c", "v_numeric", "v_two_term_small",
                    "err_two_large"]
 
 
-def _cmd_compare(args, filecfg) -> int:
-    run = _resolve(args, filecfg)
+def _cmd_compare(args, name, reaction, config) -> int:
     if args.uc:
         try:
             values = [float(tok) for tok in args.uc.split(",") if tok]
         except ValueError:
+            values = []
+        if not values:
             raise UsageError("--uc expects a comma-separated list of numbers")
-        for u in values:
-            _check_uc(u)
-        values = sorted(set(values), reverse=True)
+        values = sorted({_check_uc(u) for u in values}, reverse=True)
     else:
         if args.count < 1:
             raise UsageError("--count must be at least 1")
         values = _make_grid(args.uc_min, args.uc_max, args.count,
                             args.spacing)
-    if args.jobs > 1 and not args.no_continuation:
-        raise UsageError("--jobs requires --no-continuation: warm-started "
-                         "rows depend on their predecessors")
-    constants = _load_constants(run.constants_source, run.reaction,
-                                run.solver.control)
-    rows, failures = _solve_rows(run, values, args.jobs,
-                                 continuation=not args.no_continuation)
+    _check_jobs(args.jobs)
+    constants = _load_constants(args.constants_source, reaction,
+                                config.control)
+    rows, failures = _solve_rows(name, reaction, config, values, args.jobs)
 
-    table: list[dict[str, float]] = []
+    table = []
     for row in rows:
+        v = row.v_star
         small = small_uc_speed(row.u_c, constants)
-        large = large_uc_speed(row.u_c, run.reaction)
-        table.append({
-            "u_c": row.u_c,
-            "v_numeric": row.v_star,
-            "v_two_term_small": small.two_term,
-            "v_three_term_small": small.three_term,
-            "v_one_term_large": large.one_term,
-            "v_two_term_large": large.two_term,
-            "err_two_small": row.v_star - small.two_term,
-            "err_three_small": row.v_star - small.three_term,
-            "err_two_large": row.v_star - large.two_term,
-        })
-
-    fmt = run.output_format or "csv"
-    if fmt == "csv":
-        _emit(_csv(_COMPARE_HEADER,
-                   [[_fmt(r[k]) for k in _COMPARE_HEADER] for r in table]),
-              run.output_path)
-    elif fmt == "json":
-        _emit(_json_text(table), run.output_path)
-    elif fmt == "svg":
-        _emit(render_speed_chart(table), run.output_path)
-    else:
-        raise UsageError("compare supports --format csv, json or svg")
+        large = large_uc_speed(row.u_c, reaction)
+        table.append((row.u_c, v, small.two_term, small.three_term,
+                      large.one_term, large.two_term, v - small.two_term,
+                      v - small.three_term, v - large.two_term))
+    _write(_COMPARE_HEADER, table, args.format, args.output)
     if args.svg:
-        _emit(render_speed_chart(table), args.svg)
-    if failures:
-        for u_c, msg in failures.items():
-            print(f"u_c={u_c:g}: {msg}", file=sys.stderr)
-        return 3
-    return 0
+        _write(_COMPARE_HEADER, table, "svg", args.svg)
+    return _report(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +401,7 @@ def render_speed_chart(table: list[dict[str, float]]) -> str:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, formats: list[str]) -> None:
     p.add_argument("--reaction", choices=sorted(BUILTIN_REACTIONS),
                    default=None, help="reaction function (default fisher)")
     p.add_argument("--tol-ode", type=float, default=None,
@@ -479,11 +412,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon-manifold", type=float, default=None,
                    help="unstable-manifold offset (default 1e-10)")
     p.add_argument("--output", default=None, help="write to file instead of stdout")
-    p.add_argument("--format", default=None, choices=["csv", "json", "svg"],
-                   help="output format (per-command default)")
-    p.add_argument("--seedless", action="store_true",
-                   help="assert deterministic output (always on: the "
-                        "pipeline has no randomness)")
+    p.add_argument("--format", default=formats[0], choices=formats,
+                   help=f"output format (default {formats[0]})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -492,37 +422,42 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Travelling-wave speeds and profiles for cut-off "
                     "KPP reaction-diffusion problems")
     sub = parser.add_subparsers(dest="command", required=True)
+    jobs_help = ("1 (default) warm-starts each row from the last; N > 1 "
+                 "solves rows independently in up to N processes")
 
     p = sub.add_parser("solve", help="wave speed for one threshold")
+    p.set_defaults(run=_cmd_solve)
     p.add_argument("--uc", type=float, required=True)
-    _add_common(p)
+    _add_common(p, ["json", "csv"])
 
     p = sub.add_parser("sweep", help="speed curve over a threshold range")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--uc-min", type=float, required=True)
     p.add_argument("--uc-max", type=float, required=True)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--spacing", choices=["linear", "log"], default="log")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--no-continuation", action="store_true",
-                   help="solve rows independently (enables --jobs)")
-    _add_common(p)
+    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
+    _add_common(p, ["csv", "json"])
 
     p = sub.add_parser("profile", help="sampled wave profile")
+    p.set_defaults(run=_cmd_profile)
     p.add_argument("--uc", type=float, required=True)
     p.add_argument("--y-min", type=float, default=-30.0)
     p.add_argument("--y-max", type=float, default=10.0)
     p.add_argument("--samples", type=int, default=601)
     p.add_argument("--frame", choices=["origin-at-uc", "origin-at-half"],
                    default="origin-at-uc")
-    _add_common(p)
+    _add_common(p, ["csv", "json"])
 
     p = sub.add_parser("reference",
                        help="leading-edge constants of the wave without cut-off")
+    p.set_defaults(run=_cmd_reference)
     p.add_argument("--window", type=float, nargs=2, default=[10.0, 25.0],
                    metavar=("LO", "HI"))
-    _add_common(p)
+    _add_common(p, ["json", "csv"])
 
     p = sub.add_parser("compare", help="numeric speeds against the expansions")
+    p.set_defaults(run=_cmd_compare)
     p.add_argument("--uc", default=None,
                    help="comma-separated thresholds (overrides the range flags)")
     p.add_argument("--uc-min", type=float, default=1e-8)
@@ -533,20 +468,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help='"fit" or a JSON file with a_inf and b_inf')
     p.add_argument("--svg", default=None,
                    help="also write an SVG chart to this path")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--no-continuation", action="store_true")
-    _add_common(p)
+    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
+    _add_common(p, ["csv", "json", "svg"])
 
     return parser
-
-
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "profile": _cmd_profile,
-    "reference": _cmd_reference,
-    "compare": _cmd_compare,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -556,8 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        filecfg = _load_file_config()
-        return _COMMANDS[args.command](args, filecfg)
+        return args.run(args, *_resolve(args))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from .errors import WindowTooNarrow
 from .integrator import (IntegrationControl, PhaseState, Trajectory,
                          exp_each, trace_field_until_alpha)
 from .reaction import ReactionSpec, gamma_rate, lambda_plus
-from .solver import Profile
+from .solver import Profile, snapped_grid
 
 _MIN_SPEED = 2.0
 #: the trajectory runs down to this level (ybar ~ 37), which bounds the
@@ -78,9 +78,8 @@ def solve_reference(reaction: ReactionSpec,
     y_shift = half.y_event
 
     y_last = front.find_alpha(_PROFILE_FLOOR)[0]
-    grid = np.linspace(front.y_start - y_shift, y_last - y_shift,
-                       _PROFILE_SAMPLES)
-    grid[np.argmin(np.abs(grid))] = 0.0
+    grid = snapped_grid(front.y_start - y_shift, y_last - y_shift,
+                        _PROFILE_SAMPLES)
     u, up = front.sample(grid + y_shift)
     return ReferenceWave(profile=Profile(y=grid, u=u, uprime=up),
                          y_shift=y_shift, reaction=reaction,

@@ -44,6 +44,9 @@ TURNED_SENTINEL = 1.0
 #: the root finder stops once the speed bracket is this narrow (v is O(1))
 _BRACKET_WIDTH_FLOOR = 1e-14
 
+#: half-width of the bracket seeded around a guessed speed
+_BRACKET_PAD = 0.25
+
 #: the bracket may lag this many halvings behind bisection's pace before
 #: a bisection step is forced, so a search takes at most this many shots
 #: (plus one) more than bisection would
@@ -61,7 +64,6 @@ class ShootingConfig:
     control: IntegrationControl = field(default_factory=IntegrationControl)
     #: caps the root finder's shots (bracket and final shots not counted)
     max_bisections: int = 200
-    bracket_pad: float = 0.25
 
     def __post_init__(self) -> None:
         if self.residual_tol <= 0.0:
@@ -221,7 +223,7 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
                 config: ShootingConfig | None = None) -> WaveSolution:
     """Find the unique wave speed v*(u_c) by a bracketed Brent search.
 
-    A guess seeds a bracket of half-width ``config.bracket_pad`` that is
+    A guess seeds a bracket of half-width ``_BRACKET_PAD`` that is
     widened geometrically (clipped to [0, min(2, v_upper_bound)]) until
     the residual changes sign across it.  The bracket is then collapsed
     to ``_BRACKET_WIDTH_FLOOR``; ``v_star`` is its midpoint and
@@ -241,8 +243,8 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     if guess is None:
         lo, hi = 0.0, vub
     else:
-        lo = max(0.0, guess - config.bracket_pad)
-        hi = min(guess + config.bracket_pad, vub)
+        lo = max(0.0, guess - _BRACKET_PAD)
+        hi = min(guess + _BRACKET_PAD, vub)
         if lo >= hi:
             lo, hi = 0.0, vub
     r_lo = residual(lo)
@@ -308,11 +310,21 @@ def assemble_profile(solution: WaveSolution, y_min: float, y_max: float,
         raise ValueError("need y_min < 0 < y_max")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    y_min = max(y_min, -solution.y_event)
-    grid = np.linspace(y_min, y_max, n_samples)
-    grid[np.argmin(np.abs(grid))] = 0.0
+    grid = snapped_grid(max(y_min, -solution.y_event), y_max, n_samples)
     u, up = solution.sample(grid)
     return Profile(y=grid, u=u, uprime=up)
+
+
+def snapped_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n evenly spaced samples on [lo, hi], one at 0 if the range spans it.
+
+    The sample nearest 0 is set to exactly 0, so a profile that crosses
+    the threshold holds the threshold's own row.
+    """
+    grid = np.linspace(lo, hi, n)
+    if lo < 0.0 < hi:
+        grid[np.argmin(np.abs(grid))] = 0.0
+    return grid
 
 
 def sweep(reaction: ReactionSpec, u_c_values: Sequence[float],

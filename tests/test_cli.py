@@ -1,12 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from cutoffwave import assemble_profile, fisher, make_cutoff, solve_speed
+import cutoffwave
+from cutoffwave import assemble_profile, cli, fisher, make_cutoff, solve_speed
 from cutoffwave.cli import main
 
 
@@ -73,7 +75,8 @@ def test_solve_csv_format(capsys):
     code, out, _ = run_cli(capsys, "solve", "--uc", "0.5", "--format", "csv")
     assert code == 0
     header, rows = parse_csv(out)
-    assert header[:2] == ["u_c", "v_star"]
+    assert header == ["u_c", "v_star", "residual", "n_iterations",
+                      "bracket_lo", "bracket_hi"]
     assert len(rows) == 1
 
 
@@ -110,24 +113,82 @@ def test_sweep_csv_round_trip(capsys):
 
 
 def test_sweep_deterministic(capsys):
-    args = ("sweep", "--uc-min", "0.4", "--uc-max", "0.7", "--count", "3",
-            "--seedless")
-    _, out1, _ = run_cli(capsys, *args)
-    _, out2, _ = run_cli(capsys, *args)
-    assert out1 == out2
+    args = ("sweep", "--uc-min", "0.4", "--uc-max", "0.7", "--count", "3")
+    code1, out1, _ = run_cli(capsys, *args)
+    code2, out2, _ = run_cli(capsys, *args)
+    assert code1 == code2 == 0
+    assert out1 and out1 == out2
 
 
-def test_sweep_jobs_requires_no_continuation(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--uc-min", "0.3", "--uc-max",
-                           "0.6", "--count", "2", "--jobs", "2")
+@pytest.mark.parametrize("extra, message", [
+    (["--jobs", "0"], "--jobs must be at least 1"),
+    (["--jobs", "-3"], "--jobs must be at least 1"),
+    # removed flags: one job warm-starts rows, more solve them in a pool,
+    # and output is always deterministic
+    (["--no-continuation"], "unrecognized arguments: --no-continuation"),
+    (["--seedless"], "unrecognized arguments: --seedless")],
+    ids=["jobs-0", "jobs-negative", "no-continuation", "seedless"])
+def test_sweep_jobs_validation(capsys, extra, message):
+    code, out, err = run_cli(capsys, "sweep", "--uc-min", "0.3", "--uc-max",
+                             "0.6", "--count", "2", *extra)
     assert code == 2
-    assert "no-continuation" in err
+    assert out == ""
+    assert message in err
+
+
+def test_compare_rejects_bad_jobs_and_removed_flag(capsys):
+    code, _, err = run_cli(capsys, "compare", "--uc", "0.5", "--jobs", "0")
+    assert code == 2 and "--jobs must be at least 1" in err
+    code, _, err = run_cli(capsys, "compare", "--uc", "0.5",
+                           "--no-continuation")
+    assert code == 2 and "unrecognized arguments" in err
+
+
+def _recording_pool(monkeypatch) -> list:
+    """Replace the process pool by an in-process one; returns its sizes."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs, count, workers", [(64, 2, 2), (3, 4, 3)])
+def test_jobs_pool_capped_at_row_count(capsys, monkeypatch, jobs, count,
+                                       workers):
+    sizes = _recording_pool(monkeypatch)
+    code, out, _ = run_cli(capsys, "sweep", "--uc-min", "0.4", "--uc-max",
+                           "0.6", "--count", str(count), "--jobs", str(jobs))
+    assert code == 0
+    assert sizes == [workers]
+    assert len(parse_csv(out)[1]) == count
+
+
+def test_one_job_never_starts_a_pool(capsys, monkeypatch):
+    sizes = _recording_pool(monkeypatch)
+    code, _, _ = run_cli(capsys, "sweep", "--uc-min", "0.4", "--uc-max",
+                         "0.6", "--count", "2")
+    assert code == 0
+    assert sizes == []
 
 
 def test_sweep_independent_rows_match_continuation(capsys):
     base = ("sweep", "--uc-min", "0.35", "--uc-max", "0.65", "--count", "3")
     _, warm, _ = run_cli(capsys, *base)
-    _, cold, _ = run_cli(capsys, *base, "--no-continuation")
+    code, cold, _ = run_cli(capsys, *base, "--jobs", "2")
+    assert code == 0
     wrows = [float(r[1]) for r in parse_csv(warm)[1]]
     crows = [float(r[1]) for r in parse_csv(cold)[1]]
     assert wrows == pytest.approx(crows, abs=1e-9)
@@ -253,6 +314,12 @@ def test_compare_single_point(capsys, tmp_path):
     assert out == reemit_csv(out)
 
 
+def test_compare_rejects_empty_threshold_list(capsys):
+    code, out, err = run_cli(capsys, "compare", "--uc", ",")
+    assert code == 2 and out == ""
+    assert "comma-separated" in err
+
+
 def test_compare_large_threshold_accuracy(capsys, tmp_path):
     # the two-term estimate tracks the speed closely on the upper range;
     # at u_c = 0.4 the true gap is 0.036 (5% relative), shrinking fast
@@ -353,9 +420,13 @@ def test_output_file(capsys, tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the same package as the tests, installed or not
+    package_root = os.path.dirname(os.path.dirname(cutoffwave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "cutoffwave.cli", "solve", "--uc", "0.7"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["v_star"] == pytest.approx(0.318272119164,
                                                               abs=1e-6)
@@ -363,8 +434,7 @@ def test_console_entry_point():
 
 def test_parallel_jobs(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--uc-min", "0.4", "--uc-max",
-                           "0.6", "--count", "2", "--no-continuation",
-                           "--jobs", "2")
+                           "0.6", "--count", "2", "--jobs", "2")
     assert code == 0
     _, rows = parse_csv(out)
     assert len(rows) == 2
