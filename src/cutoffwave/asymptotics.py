@@ -30,6 +30,7 @@ class SmallUcPrediction:
     three_term: float
     vbar: float
     y_hat_c: float
+    #: yhat_c/sqrt(vbar); NaN once the three-term speed reaches 2 (vbar <= 0)
     y_bar_c: float
     #: front location rescaled with a measured 2 - v* when one is supplied
     y_bar_c_measured: float | None = None
@@ -63,7 +64,7 @@ def small_uc_speed(u_c: float, constants: AsymptoticConstants,
     three_term = two_term - correction
     vbar = 2.0 - three_term
     y_hat_c = math.pi + (a + b) / a * math.pi / log_uc
-    y_bar_c = y_hat_c / math.sqrt(vbar)
+    y_bar_c = y_hat_c / math.sqrt(vbar) if vbar > 0.0 else math.nan
     measured = None
     if vbar_measured is not None:
         if vbar_measured <= 0.0:

@@ -74,8 +74,11 @@ def _write(header: Sequence[str], rows: Iterable[tuple], fmt: str,
         else:
             text = json.dumps(records[0] if one else records, indent=2) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

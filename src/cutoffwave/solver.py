@@ -11,22 +11,34 @@ which is negative below v* (the trajectory undershoots the stable
 manifold beta = -v*alpha) and positive above it.  r changes sign once,
 at v*, and is smooth on both sides, so a bracketed Brent-Dekker search
 (inverse quadratic and secant steps, falling back to bisection) pins it
-in a few shots and never falls far behind bisection.  The bracket never
-reaches past the KPP bound 2 (the paper proves v* < 2), so no trial
-speed is stiff.  The shot is integrated in (ln U, U'/U), so p + v, which
-carries the sign, is resolved to the integration tolerance at every
-threshold.  The bracket is collapsed to a width floor near machine
-precision and the residual criterion is then verified at the final
-midpoint: stopping on r alone cannot pin the speed for small u_c, since
-r carries the factor u_c.  Only that final shot keeps its dense path;
-bracket and root-finder shots return their event record alone.
+in a few shots and never falls far behind bisection.  The search runs on
+atan(p + v), which has r's sign but stays O(1) on both sides: below v*,
+p + v grows without bound at small thresholds, while above v* it levels
+off near +1.  The bracket never reaches past the KPP bound 2 (the paper
+proves v* < 2), so no trial speed is stiff.  The shot is integrated in
+(ln U, U'/U), so p + v, which carries the sign, is resolved to the
+integration tolerance at every threshold.
+
+The search runs in two stages that share one bracket-and-widen step and
+one root finder.  Stage 1 shoots at the ODE tolerance relaxed to
+``_COARSE_TOL`` and stops once the bracket is ``_FINE_HALF_WIDTH`` wide;
+a shot far from v* needs only its sign, and a loose shot costs a
+fraction of the steps.  Stage 2 re-brackets +-``_FINE_HALF_WIDTH``
+around stage 1's midpoint at the caller's tolerance (widening it when a
+sign disagrees) and collapses it to a width floor near machine
+precision, so the speed does not depend on the stage-1 tolerance.
+Stage 1 is skipped when the caller's tolerance is already that loose.
+The residual criterion is then verified on r at the final midpoint:
+stopping on r alone cannot pin the speed for small u_c, since r carries
+the factor u_c.  Only that final shot keeps its dense path; bracket and
+root-finder shots return their event record alone.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,11 +50,20 @@ from .integrator import (EventRecord, IntegrationControl, Trajectory,
 from .reaction import (CutoffReaction, ReactionSpec, lambda_plus,
                        make_cutoff, v_upper_bound)
 
-#: residual returned when the trajectory stalls above the target level
-TURNED_SENTINEL = 1.0
+#: search value of a shot that turns before reaching the threshold (only
+#: above the wave speed): outside atan's range (-pi/2, pi/2), so no finite
+#: p + v produces it; shoot_residual reports such a shot as +1
+TURNED_SENTINEL = 2.0
 
 #: the root finder stops once the speed bracket is this narrow (v is O(1))
 _BRACKET_WIDTH_FLOOR = 1e-14
+
+#: stage 1 shoots at this ODE tolerance, or at the caller's if looser
+_COARSE_TOL = 1e-8
+
+#: stage 1 stops at a bracket about this wide, and stage 2 opens its
+#: bracket this far on either side of stage 1's midpoint
+_FINE_HALF_WIDTH = 1e-6
 
 #: half-width of the bracket seeded around a guessed speed
 _BRACKET_PAD = 0.25
@@ -62,7 +83,7 @@ class ShootingConfig:
     residual_tol: float = 1e-8
     epsilon_manifold: float = 1e-10
     control: IntegrationControl = field(default_factory=IntegrationControl)
-    #: caps the root finder's shots (bracket and final shots not counted)
+    #: caps the shots counted in ``n_iterations``, over both stages
     max_bisections: int = 200
 
     def __post_init__(self) -> None:
@@ -135,14 +156,28 @@ def _check_start(cutoff: CutoffReaction, config: ShootingConfig) -> None:
 
 def _shoot(cutoff: CutoffReaction, v: float, config: ShootingConfig,
            dense: bool = False,
-           ) -> tuple[float, EventRecord | None, Trajectory | None]:
+           ) -> tuple[EventRecord | None, Trajectory | None]:
+    """One shot at config.control; (None, None) when it turns."""
     start = unstable_manifold_start(cutoff, v, config.epsilon_manifold)
     try:
-        record, traj = trace_until_alpha(cutoff, v, start, cutoff.u_c,
-                                         config.control, dense=dense)
+        return trace_until_alpha(cutoff, v, start, cutoff.u_c,
+                                 config.control, dense=dense)
     except SpanExceeded:
-        return TURNED_SENTINEL, None, None
-    return cutoff.u_c * (record.log_slope + v), record, traj
+        return None, None
+
+
+def _residual(cutoff: CutoffReaction, v: float,
+              record: EventRecord | None) -> float:
+    """r = u_c*(p + v) at the event, or +1 for a shot that turned."""
+    return 1.0 if record is None else cutoff.u_c * (record.log_slope + v)
+
+
+def _search_value(cutoff: CutoffReaction, v: float,
+                  config: ShootingConfig) -> float:
+    """atan(p + v), r's sign kept O(1), or TURNED_SENTINEL."""
+    record, _ = _shoot(cutoff, v, config)
+    return (TURNED_SENTINEL if record is None
+            else math.atan(record.log_slope + v))
 
 
 def shoot_residual(cutoff: CutoffReaction, v: float,
@@ -155,12 +190,12 @@ def shoot_residual(cutoff: CutoffReaction, v: float,
     """
     config = config or ShootingConfig()
     _check_start(cutoff, config)
-    r, _, _ = _shoot(cutoff, v, config)
-    return r
+    return _residual(cutoff, v, _shoot(cutoff, v, config)[0])
 
 
 def _brent(f: Callable[[float], float], lo: float, hi: float, r_lo: float,
-           r_hi: float, max_iter: int) -> tuple[float, float, int]:
+           r_hi: float, max_iter: int, floor: float = _BRACKET_WIDTH_FLOOR,
+           ) -> tuple[float, float, int]:
     """Collapse a bracket with f(lo) = r_lo < 0 <= r_hi = f(hi).
 
     Brent's zeroin (*Algorithms for Minimization without Derivatives*,
@@ -170,7 +205,7 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, r_lo: float,
     interpolated step is unsafe, a point carries the turned-shot
     sentinel, or the bracket lags more than _BISECTION_SLACK halvings
     behind bisection's pace.  Stops once the half-width is within
-    2*eps*|b| + _BRACKET_WIDTH_FLOOR/2, or on an exact zero, returned as
+    2*eps*|b| + floor/2, or on an exact zero, returned as
     (b, b).  Returns the final bracket and the number of calls of f;
     raises MaxIterations when max_iter calls leave the bracket wider.
     """
@@ -183,8 +218,7 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, r_lo: float,
             d = e = b - a
         if abs(fc) < abs(fb):
             a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
-        tol = (2.0 * sys.float_info.epsilon * abs(b)
-               + 0.5 * _BRACKET_WIDTH_FLOOR)
+        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * floor
         m = 0.5 * (c - b)
         if fb == 0.0:
             return b, b, n
@@ -193,7 +227,7 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, r_lo: float,
         if n >= max_iter:
             raise MaxIterations(
                 f"bracket width {abs(c - b):.3e} is still above the floor "
-                f"{_BRACKET_WIDTH_FLOOR:g} after the cap of {n} shots")
+                f"{floor:g} after the cap of {n} shots")
         if (abs(e) < tol or abs(fa) <= abs(fb)
                 or TURNED_SENTINEL in (fa, fb, fc)
                 or abs(c - b) > width0 * 2.0 ** (_BISECTION_SLACK - n)):
@@ -219,26 +253,72 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, r_lo: float,
         n += 1
 
 
+def _widen(f: Callable[[float], float], lo: float, hi: float, vub: float,
+           u_c: float) -> tuple[float, float, float, float]:
+    """Shoot both ends of [lo, hi], doubling it (clipped to [0, vub])
+    until f changes sign across it; returns (lo, hi, f(lo), f(hi))."""
+    r_lo = f(lo)
+    r_hi = f(hi)
+    while r_lo >= 0.0 or r_hi < 0.0:
+        if lo <= 0.0 and hi >= vub:
+            break
+        width = hi - lo
+        if r_lo >= 0.0:
+            lo = max(0.0, lo - width)
+            r_lo = f(lo)
+        if r_hi < 0.0:
+            hi = min(vub, hi + width)
+            r_hi = f(hi)
+    if r_lo >= 0.0:
+        raise NoSignChange(
+            f"the shot at v=0 does not undershoot for u_c={u_c}; "
+            "a KPP reaction must undershoot at rest")
+    if r_hi < 0.0:
+        raise NoSignChange(
+            f"residual stays negative up to the speed bound {vub:.6g}")
+    return lo, hi, r_lo, r_hi
+
+
 def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
                 config: ShootingConfig | None = None) -> WaveSolution:
-    """Find the unique wave speed v*(u_c) by a bracketed Brent search.
+    """Find the unique wave speed v*(u_c) by a two-stage Brent search.
 
-    A guess seeds a bracket of half-width ``_BRACKET_PAD`` that is
-    widened geometrically (clipped to [0, min(2, v_upper_bound)]) until
-    the residual changes sign across it.  The bracket is then collapsed
-    to ``_BRACKET_WIDTH_FLOOR``; ``v_star`` is its midpoint and
-    ``n_iterations`` the number of root-finder shots.  Raises
-    MaxIterations when ``config.max_bisections`` shots leave the bracket
-    wider or the final residual misses ``config.residual_tol``, and
-    ValueError when u_c is not below 1 - epsilon_manifold.
+    A guess seeds a bracket of half-width ``_BRACKET_PAD`` (no guess:
+    [0, min(2, v_upper_bound)]) that is widened geometrically, clipped
+    to [0, min(2, v_upper_bound)], until the residual changes sign
+    across it.  Stage 1 collapses it to about ``_FINE_HALF_WIDTH`` with
+    shots at ``config.control`` relaxed to ``_COARSE_TOL``; stage 2
+    opens +-``_FINE_HALF_WIDTH`` around its midpoint at
+    ``config.control``, widens it the same way and collapses it to
+    ``_BRACKET_WIDTH_FLOOR``.  ``v_star`` is the midpoint of stage 2's
+    bracket.  ``n_iterations`` counts every shot but the two opening
+    bracket shots and the final one.  Raises MaxIterations when
+    ``config.max_bisections`` such shots leave the bracket wider or the
+    final residual misses ``config.residual_tol``, and ValueError when
+    u_c is not below 1 - epsilon_manifold.
     """
     if config is None:
         config = ShootingConfig()
     _check_start(cutoff, config)
     vub = min(_SPEED_CAP, v_upper_bound(cutoff))
+    fine = config.control
+    coarse = replace(fine, abs_tol=max(_COARSE_TOL, fine.abs_tol),
+                     rel_tol=max(_COARSE_TOL, fine.rel_tol))
+    shots = 0
 
-    def residual(v: float) -> float:
-        return _shoot(cutoff, v, config)[0]
+    def collapse(lo: float, hi: float, control: IntegrationControl,
+                 floor: float) -> tuple[float, float]:
+        stage_config = replace(config, control=control)
+
+        def f(v: float) -> float:
+            nonlocal shots
+            shots += 1
+            return _search_value(cutoff, v, stage_config)
+
+        lo, hi, r_lo, r_hi = _widen(f, lo, hi, vub, cutoff.u_c)
+        lo, hi, _ = _brent(f, lo, hi, r_lo, r_hi,
+                           config.max_bisections - (shots - 2), floor)
+        return lo, hi
 
     if guess is None:
         lo, hi = 0.0, vub
@@ -247,34 +327,19 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
         hi = min(guess + _BRACKET_PAD, vub)
         if lo >= hi:
             lo, hi = 0.0, vub
-    r_lo = residual(lo)
-    r_hi = residual(hi)
-    while r_lo >= 0.0 or r_hi < 0.0:
-        if lo <= 0.0 and hi >= vub:
-            break
-        width = hi - lo
-        if r_lo >= 0.0:
-            lo = max(0.0, lo - width)
-            r_lo = residual(lo)
-        if r_hi < 0.0:
-            hi = min(vub, hi + width)
-            r_hi = residual(hi)
-    if r_lo >= 0.0 and lo <= 0.0:
-        raise NoSignChange(
-            f"residual at v=0 is {r_lo:.3e} >= 0 for u_c={cutoff.u_c}; "
-            "a KPP reaction must undershoot at rest")
-    if r_hi < 0.0:
-        raise NoSignChange(
-            f"residual stays negative up to the speed bound {vub:.6g}")
-
-    lo, hi, n_iter = _brent(residual, lo, hi, r_lo, r_hi,
-                            config.max_bisections)
+    if coarse != fine:
+        mid = 0.5 * sum(collapse(lo, hi, coarse, _FINE_HALF_WIDTH))
+        lo = max(0.0, mid - _FINE_HALF_WIDTH)
+        hi = min(mid + _FINE_HALF_WIDTH, vub)
+    lo, hi = collapse(lo, hi, fine, _BRACKET_WIDTH_FLOOR)
+    n_iter = shots - 2
     v_star = 0.5 * (lo + hi)
-    r_final, record, traj = _shoot(cutoff, v_star, config, dense=True)
+    record, traj = _shoot(cutoff, v_star, config, dense=True)
+    r_final = _residual(cutoff, v_star, record)
     if record is None or abs(r_final) > config.residual_tol:
         raise MaxIterations(
             f"residual {r_final:.3e} exceeds {config.residual_tol:g} after "
-            f"{n_iter} root-finder shots (bracket width {hi - lo:.3e})")
+            f"{n_iter} search shots (bracket width {hi - lo:.3e})")
 
     solution = WaveSolution(
         u_c=cutoff.u_c, v_star=v_star, residual=r_final, bracket=(lo, hi),

@@ -164,3 +164,15 @@ def test_two_term_error_shrinks_faster_than_delta_squared():
         pred = large_uc_speed(u_c, fisher())
         ratios.append(abs(v - pred.two_term) / pred.delta ** 2)
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
+
+
+def test_front_location_nan_once_three_term_passes_two():
+    # cubic constants: (A+B)/A + ln A > 0, so the three-term speed passes
+    # 2 for |ln u_c| < 1.64 and 2 - v has no square root
+    cubic = AsymptoticConstants(a_inf=0.528888, b_inf=0.241993,
+                                gamma=math.nan, fit_window=(10.0, 25.0),
+                                fit_residual=math.nan)
+    pred = small_uc_speed(0.5, cubic)
+    assert pred.three_term > 2.0 and pred.vbar < 0.0
+    assert math.isnan(pred.y_bar_c)
+    assert math.isfinite(small_uc_speed(0.1, cubic).y_bar_c)

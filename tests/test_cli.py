@@ -438,3 +438,24 @@ def test_parallel_jobs(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert len(rows) == 2
+
+
+def test_compare_cubic_past_three_term_bound(capsys):
+    # the cubic three-term speed passes 2 above u_c ~ 0.19, where the
+    # scaled front location has no square root; the row is still written
+    code, out, err = run_cli(capsys, "compare", "--reaction", "cubic",
+                             "--uc", "0.5,0.1")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert [float(r[0]) for r in rows] == [0.5, 0.1]
+    three = header.index("v_three_term_small")
+    assert float(rows[0][three]) > 2.0
+
+
+def test_output_in_missing_directory(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "solve", "--uc", "0.5",
+                             "--output", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and str(path) in err
+    assert not path.exists()

@@ -5,10 +5,11 @@ import pytest
 
 from cutoffwave import (InsufficientTail, MaxIterations, NoSignChange,
                         Profile, ReactionSpec, ShootingConfig, assemble_profile,
-                        fisher, fit_rear_constant, lambda_plus, make_cutoff,
-                        shoot_residual, small_uc_speed, solve_speed, sweep,
-                        v_upper_bound)
+                        by_name, cubic_kpp, fisher, fit_rear_constant,
+                        lambda_plus, make_cutoff, shoot_residual,
+                        small_uc_speed, solve_speed, sweep, v_upper_bound)
 from cutoffwave import solver
+from cutoffwave.integrator import IntegrationControl
 
 # Independent high-accuracy speeds, frozen from a phase-plane formulation
 # d(beta)/d(alpha) = -v - f/beta solved with an eighth-order method at
@@ -405,3 +406,104 @@ def test_concurrent_solves_share_reactions():
             lambda u: solve_speed(make_cutoff(spec, u)).v_star, ucs))
     serial = [solve_speed(make_cutoff(spec, u)).v_star for u in ucs]
     assert parallel == serial
+
+
+def _spy_controls(monkeypatch):
+    """Record the IntegrationControl and path length of every shot."""
+    trace = solver.trace_until_alpha
+    shots = []
+
+    def spy(cutoff, v, start, level, control, dense=False):
+        record, path = trace(cutoff, v, start, level, control, dense=dense)
+        shots.append((control, len(path)))
+        return record, path
+
+    monkeypatch.setattr(solver, "trace_until_alpha", spy)
+    return shots
+
+
+@pytest.mark.parametrize("reaction", [fisher, cubic_kpp])
+def test_coarse_stage_then_caller_tolerance(monkeypatch, reaction):
+    # stage 1 shoots at the relaxed tolerance, then every shot, the final
+    # dense one included, runs at the caller's control
+    shots = _spy_controls(monkeypatch)
+    config = ShootingConfig()
+    sol = solve_speed(make_cutoff(reaction(), 1e-10), config=config)
+    controls = [c for c, _ in shots]
+    n_coarse = sum(c != config.control for c in controls)
+    assert n_coarse >= 2
+    assert all(c.abs_tol == c.rel_tol == solver._COARSE_TOL
+               for c in controls[:n_coarse])
+    assert all(c == config.control for c in controls[n_coarse:])
+    assert len(controls) - n_coarse >= 3 and shots[-1][1] > 0
+    assert len(shots) == sol.n_iterations + 3
+    lo, hi = sol.bracket
+    assert hi - lo <= solver._BRACKET_WIDTH_FLOOR
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-6])
+def test_loose_tolerance_skips_coarse_stage(monkeypatch, tol):
+    # one Brent search at the caller's control when it is 1e-8 or looser
+    shots = _spy_controls(monkeypatch)
+    brent = solver._brent
+    floors = []
+
+    def spy(*args):
+        floors.append(args[-1])
+        return brent(*args)
+
+    monkeypatch.setattr(solver, "_brent", spy)
+    control = IntegrationControl(abs_tol=tol, rel_tol=tol)
+    sol = solve_speed(make_cutoff(fisher(), 1e-3),
+                      config=ShootingConfig(control=control))
+    assert len(shots) == sol.n_iterations + 3
+    if tol < solver._COARSE_TOL:
+        assert floors == [solver._FINE_HALF_WIDTH,
+                          solver._BRACKET_WIDTH_FLOOR]
+    else:
+        assert floors == [solver._BRACKET_WIDTH_FLOOR]
+        assert {c for c, _ in shots} == {control}
+
+
+# cold speeds of a single-stage search at tolerance 1e-12; the stage-2
+# bracket pins each to the width floor at the caller's tolerance
+COLD_SPEEDS = {
+    ("fisher", 0.99): 0.010016764518372454,
+    ("fisher", 1e-10): 1.9802440829685184,
+    ("fisher", 1e-50): 1.9992434076112406,
+    ("fisher", 1e-300): 1.999979259589074,
+    ("cubic", 0.99): 0.0141421949451413,
+    ("cubic", 1e-10): 1.9828821942564918,
+    ("cubic", 1e-50): 1.9992663029593474,
+    ("cubic", 1e-300): 1.9999793657857827,
+}
+
+
+@pytest.mark.parametrize("name,u_c", sorted(COLD_SPEEDS))
+def test_cold_speed_unchanged_by_coarse_stage(name, u_c):
+    sol = solve_speed(make_cutoff(by_name(name), u_c))
+    assert abs(sol.v_star - COLD_SPEEDS[name, u_c]) <= 1e-13
+
+
+def test_turned_shot_forces_bisection():
+    # the search runs on atan(p + v), so a real shot can return any value
+    # in (-pi/2, pi/2); a turned shot must be told apart from all of them
+    assert solver.TURNED_SENTINEL > math.atan(math.inf)
+    root = 0.7308957
+    f = lambda v: (solver.TURNED_SENTINEL if v > 1.3  # noqa: E731
+                   else math.atan(1e3 * (v - root)))
+    lo, hi, n, calls = _run_brent(f, 0.0, 2.0)
+    assert lo <= root <= hi and hi - lo <= 1e-14
+    assert calls[0] == 1.0  # the midpoint of [0, 2], not a secant step
+
+    # a real turned shot (the rest shot of a reaction with a deep valley
+    # above the threshold) is still +1 through the public residual
+    def valley(u):
+        return u * (1.0 - u) * (u - 0.25) * (u - 0.85)
+
+    spec = ReactionSpec(name="valley", f=valley, fprime_at_1=-0.1125,
+                        fdoubleprime_at_1=0.0, sup_f=lambda u_c: 0.05)
+    cut = make_cutoff(spec, 0.2)
+    assert shoot_residual(cut, 0.0) == 1.0
+    assert solver._search_value(cut, 0.0, ShootingConfig()) == \
+        solver.TURNED_SENTINEL
