@@ -34,6 +34,20 @@ invalid for any step straddling that line.  Crossings are therefore
 handled by splitting: the integration stops at the alpha = u_c event and
 restarts there with the sub-threshold (zero-rate) field, so every step
 sees a smooth right-hand side.
+
+A shot that needs only p at alpha = u_c has a cheaper form,
+``shoot_slope``.  For a KPP reaction alpha falls monotonically along the
+saddle's unstable manifold, so t = -ln alpha can replace y: the one state
+p then obeys
+
+    dp/dt = (p + v) + (f(e^-t)/e^-t)/p,
+
+with the same Dormand-Prince pair, now using its stage nodes, and the
+same error rule.  Its last step lands exactly on t = -ln u_c, so it needs
+no event search, no y and no segments.  The saddle, which the y-stepper
+leaves only at an exponential pace, is linear in t (p ~ -lambda_plus*t),
+and where |p + v| has grown far past the rate term the remaining leg is
+finished in closed form.
 """
 
 from __future__ import annotations
@@ -55,6 +69,8 @@ _A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
 _A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
                                 49 / 176, -5103 / 18656)
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# Stage nodes (c6 = c7 = 1), for the slope shot's explicit t-dependence.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 # Embedded 4th-order error weights (difference of the two formulas).
 _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
@@ -473,6 +489,97 @@ def integrate_until_alpha(cutoff: CutoffReaction, v: float, start: PhaseState,
     record, _ = trace_until_alpha(cutoff, v, start, alpha_target, control,
                                   dense=False)
     return record
+
+
+def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
+                control: IntegrationControl | None = None,
+                ) -> tuple[float, int, int]:
+    """U'/U where the path from ``start`` first reaches U = u_c.
+
+    A record-only shot against t = -ln U instead of y: while U falls,
+    p = U'/U obeys dp/dt = (p + v) + g/p with g = f(U)/U, and the last
+    step is clipped to land on t = -ln u_c, so there is no event search.
+    Once (p + v)^2 > 1/rel_tol the rest of the leg is finished in closed
+    form, p = (p + v)*e^(t_end - t) - v: g <= 1 for a normalised KPP
+    reaction and |p| grows, so the dropped term moves p + v by less than
+    rel_tol relative.  Returns (p, steps, rejects), the tail counting as a step.
+    A stage with p >= 0 (U has stopped falling) is rejected; a path that
+    turns therefore ends in step-size underflow, raised as SpanExceeded,
+    or as StepFailure when the last trial step went non-finite.
+    """
+    if control is None:
+        control = IntegrationControl()
+    if v < 0.0:
+        raise ValueError("speed must be non-negative")
+    a = start.alpha
+    if a < cutoff.u_c or start.beta >= 0.0:
+        raise ValueError("need start.alpha >= u_c and start.beta < 0")
+    f = cutoff.base.f
+    exp = math.exp
+    atol, rtol = control.abs_tol, control.rel_tol
+    t = -(math.log1p(a - 1.0) if a > 0.5 else math.log(a))
+    t_end = -math.log(cutoff.u_c)
+    p = start.beta / a
+    if t >= t_end:
+        return p, 0, 0
+    h = control.initial_step
+    n_steps = n_rejects = 0
+    dp = p + v + f(a) / a / p
+    err = 0.0
+    while True:
+        q = p + v
+        if q * q * rtol > 1.0:
+            try:
+                return q * exp(t_end - t) - v, n_steps + 1, n_rejects
+            except OverflowError:  # q < 0 here
+                return -math.inf, n_steps + 1, n_rejects
+        if h < 1e-14 * max(1.0, t):
+            if err != err:
+                raise StepFailure(f"step size underflow at U={exp(-t):.6g}: "
+                                  "non-finite rate")
+            raise SpanExceeded(f"step size underflow at U={exp(-t):.6g}: "
+                               f"the path turned above u_c={cutoff.u_c:g}")
+        last = t + h >= t_end
+        if last:
+            h = t_end - t
+        try:
+            p2 = p + h * (_A21 * dp)
+            u = exp(-t - _C2 * h); dp2 = p2 + v + f(u) / u / p2
+            p3 = p + h * (_A31 * dp + _A32 * dp2)
+            u = exp(-t - _C3 * h); dp3 = p3 + v + f(u) / u / p3
+            p4 = p + h * (_A41 * dp + _A42 * dp2 + _A43 * dp3)
+            u = exp(-t - _C4 * h); dp4 = p4 + v + f(u) / u / p4
+            p5 = p + h * (_A51 * dp + _A52 * dp2 + _A53 * dp3 + _A54 * dp4)
+            u = exp(-t - _C5 * h); dp5 = p5 + v + f(u) / u / p5
+            p6 = p + h * (_A61 * dp + _A62 * dp2 + _A63 * dp3 + _A64 * dp4
+                          + _A65 * dp5)
+            u = exp(-t - h); dp6 = p6 + v + f(u) / u / p6
+            p_new = p + h * (_B1 * dp + _B3 * dp3 + _B4 * dp4 + _B5 * dp5
+                             + _B6 * dp6)
+            dp7 = p_new + v + f(u) / u / p_new
+        except (OverflowError, ZeroDivisionError):
+            err = math.inf
+        else:
+            if (p2 < 0.0 and p3 < 0.0 and p4 < 0.0 and p5 < 0.0 and p6 < 0.0
+                    and p_new < 0.0):
+                err = abs(h * (_E1 * dp + _E3 * dp3 + _E4 * dp4 + _E5 * dp5
+                               + _E6 * dp6 + _E7 * dp7)) / (
+                    atol + rtol * max(abs(p), abs(p_new)))
+            else:  # U stops falling inside the step, or a NaN stage
+                err = math.inf if p_new == p_new else math.nan
+
+        if not err <= 1.0:
+            n_rejects += 1
+            h *= _MIN_FACTOR if not math.isfinite(err) else max(
+                _MIN_FACTOR, _SAFETY * err ** -0.2)
+            continue
+        n_steps += 1
+        if last:
+            return p_new, n_steps, n_rejects
+        t += h
+        p, dp = p_new, dp7  # FSAL
+        h *= _MAX_FACTOR if err == 0.0 else min(
+            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
 
 
 def trace_field_until_alpha(rate: Callable[[float], float], v: float,

@@ -15,8 +15,9 @@ in a few shots and never falls far behind bisection.  The search runs on
 atan(p + v), which has r's sign but stays O(1) on both sides: below v*,
 p + v grows without bound at small thresholds, while above v* it levels
 off near +1.  The bracket never reaches past the KPP bound 2 (the paper
-proves v* < 2), so no trial speed is stiff.  The shot is integrated in
-(ln U, U'/U), so p + v, which carries the sign, is resolved to the
+proves v* < 2), so no trial speed is stiff.  Every search shot is a
+slope shot (``shoot_slope``): it steps p = U'/U against ln U and ends
+exactly at ln u_c, so p + v, which carries the sign, is resolved to the
 integration tolerance at every threshold.
 
 The search runs in two stages that share one bracket-and-widen step and
@@ -30,8 +31,8 @@ precision, so the speed does not depend on the stage-1 tolerance.
 Stage 1 is skipped when the caller's tolerance is already that loose.
 The residual criterion is then verified on r at the final midpoint:
 stopping on r alone cannot pin the speed for small u_c, since r carries
-the factor u_c.  Only that final shot keeps its dense path; bracket and
-root-finder shots return their event record alone.
+the factor u_c.  Only that final shot steps in y, with
+``trace_until_alpha``, and keeps its dense path for the profile.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ import numpy as np
 
 from .errors import (InsufficientTail, MaxIterations, NoSignChange,
                      SpanExceeded, CutoffWaveError)
-from .integrator import (EventRecord, IntegrationControl, Trajectory,
-                         exp_each, trace_until_alpha, unstable_manifold_start)
+from .integrator import (IntegrationControl, Trajectory, exp_each,
+                         shoot_slope, trace_until_alpha,
+                         unstable_manifold_start)
 from .reaction import (CutoffReaction, ReactionSpec, lambda_plus,
                        make_cutoff, v_upper_bound)
 
@@ -154,30 +156,22 @@ def _check_start(cutoff: CutoffReaction, config: ShootingConfig) -> None:
             "shot starts; use a smaller --epsilon-manifold")
 
 
-def _shoot(cutoff: CutoffReaction, v: float, config: ShootingConfig,
-           dense: bool = False,
-           ) -> tuple[EventRecord | None, Trajectory | None]:
-    """One shot at config.control; (None, None) when it turns."""
+def _gap(cutoff: CutoffReaction, v: float,
+         config: ShootingConfig) -> float | None:
+    """p + v at the threshold from a slope shot, or None when it turns."""
     start = unstable_manifold_start(cutoff, v, config.epsilon_manifold)
     try:
-        return trace_until_alpha(cutoff, v, start, cutoff.u_c,
-                                 config.control, dense=dense)
+        p, _, _ = shoot_slope(cutoff, v, start, config.control)
     except SpanExceeded:
-        return None, None
-
-
-def _residual(cutoff: CutoffReaction, v: float,
-              record: EventRecord | None) -> float:
-    """r = u_c*(p + v) at the event, or +1 for a shot that turned."""
-    return 1.0 if record is None else cutoff.u_c * (record.log_slope + v)
+        return None
+    return p + v
 
 
 def _search_value(cutoff: CutoffReaction, v: float,
                   config: ShootingConfig) -> float:
     """atan(p + v), r's sign kept O(1), or TURNED_SENTINEL."""
-    record, _ = _shoot(cutoff, v, config)
-    return (TURNED_SENTINEL if record is None
-            else math.atan(record.log_slope + v))
+    gap = _gap(cutoff, v, config)
+    return TURNED_SENTINEL if gap is None else math.atan(gap)
 
 
 def shoot_residual(cutoff: CutoffReaction, v: float,
@@ -185,12 +179,13 @@ def shoot_residual(cutoff: CutoffReaction, v: float,
     """Signed slope mismatch at the threshold for a trial speed.
 
     Returns the positive sentinel +1 when the trajectory turns before
-    reaching the threshold, which happens only above the wave speed.
+    reaching the threshold, which a KPP reaction never does.
     Raises ValueError when u_c is not below 1 - epsilon_manifold.
     """
     config = config or ShootingConfig()
     _check_start(cutoff, config)
-    return _residual(cutoff, v, _shoot(cutoff, v, config)[0])
+    gap = _gap(cutoff, v, config)
+    return 1.0 if gap is None else cutoff.u_c * gap
 
 
 def _brent(f: Callable[[float], float], lo: float, hi: float, r_lo: float,
@@ -334,8 +329,14 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     lo, hi = collapse(lo, hi, fine, _BRACKET_WIDTH_FLOOR)
     n_iter = shots - 2
     v_star = 0.5 * (lo + hi)
-    record, traj = _shoot(cutoff, v_star, config, dense=True)
-    r_final = _residual(cutoff, v_star, record)
+    start = unstable_manifold_start(cutoff, v_star, config.epsilon_manifold)
+    try:
+        record, traj = trace_until_alpha(cutoff, v_star, start, cutoff.u_c,
+                                         config.control, dense=True)
+    except SpanExceeded:
+        record = None
+    r_final = 1.0 if record is None else cutoff.u_c * (record.log_slope
+                                                       + v_star)
     if record is None or abs(r_final) > config.residual_tol:
         raise MaxIterations(
             f"residual {r_final:.3e} exceeds {config.residual_tol:g} after "

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from cutoffwave import (IntegrationControl, PhaseState, ReactionSpec,
-                        SpanExceeded, StepFailure, Trajectory, fisher,
-                        integrate_until_alpha, make_cutoff,
+                        SpanExceeded, StepFailure, Trajectory, by_name,
+                        fisher, integrate_until_alpha, make_cutoff,
                         trace_field_until_alpha, trace_until_alpha,
                         unstable_manifold_start)
+from cutoffwave.integrator import shoot_slope
 
 
 def fisher_energy(alpha, u_c):
@@ -290,3 +291,73 @@ def test_control_validation():
         IntegrationControl(abs_tol=0.0)
     with pytest.raises(ValueError):
         IntegrationControl(max_span=-1.0)
+
+
+# speeds to six digits: the two kinds of shot are compared 1e-3 either
+# side of v*, where p + v is small and its sign decides the search
+NEAR_SPEEDS = {
+    ("fisher", 0.9): 0.101771, ("fisher", 0.5): 0.560014,
+    ("fisher", 1e-3): 1.807086, ("fisher", 1e-10): 1.980244,
+    ("cubic", 0.9): 0.141485, ("cubic", 0.5): 0.718492,
+    ("cubic", 1e-3): 1.854864, ("cubic", 1e-10): 1.982882,
+}
+
+
+@pytest.mark.parametrize("dv", [-1e-3, 1e-3])
+@pytest.mark.parametrize("name,u_c", sorted(NEAR_SPEEDS))
+def test_slope_shot_matches_y_shot(name, u_c, dv):
+    cut = make_cutoff(by_name(name), u_c)
+    v = NEAR_SPEEDS[name, u_c] + dv
+    start = unstable_manifold_start(cut, v)
+    p, n_steps, _ = shoot_slope(cut, v, start)
+    ref = integrate_until_alpha(cut, v, start, u_c).log_slope
+    # p + v is only 1e-3 to 0.3 here, and each shot errs by a few 1e-12 at
+    # tolerance 1e-12, so p + v is compared relative to p, the quantity
+    # both error controls scale with
+    assert abs((p + v) - (ref + v)) <= 1e-10 * abs(ref)
+    assert n_steps > 0
+
+
+@pytest.mark.parametrize("u_c", [1e-10, 1e-300])
+def test_slope_shot_tail_at_rest(u_c):
+    # at rest beta^2 = 2*int f, so p = beta/u_c runs to -sqrt(1/3)/u_c;
+    # the closed-form tail keeps the steps bounded however small u_c is
+    cut = make_cutoff(fisher(), u_c)
+    p, n_steps, _ = shoot_slope(cut, 0.0, unstable_manifold_start(cut, 0.0))
+    assert p * u_c == pytest.approx(-math.sqrt(fisher_energy(0.0, u_c)),
+                                    rel=1e-10)
+    assert n_steps <= 1500
+
+
+def test_slope_shot_preconditions():
+    cut = make_cutoff(fisher(), 0.5)
+    start = unstable_manifold_start(cut, 0.3)
+    with pytest.raises(ValueError):
+        shoot_slope(cut, -1.0, start)
+    with pytest.raises(ValueError):
+        shoot_slope(cut, 0.3, PhaseState(0.4, -0.1))
+    with pytest.raises(ValueError):
+        shoot_slope(cut, 0.3, PhaseState(0.9, 0.0))
+    # a start on the threshold is its own event
+    assert shoot_slope(cut, 0.3, PhaseState(0.5, -0.2)) == (-0.4, 0, 0)
+
+
+@pytest.mark.parametrize("v", [1.0, 2.0])
+def test_slope_shot_through_subnormal_levels(v):
+    # below U = 2.2e-308, U*p would round to a few bits; dividing f(U) by
+    # U first keeps the rate term exact and the steps large
+    cut = make_cutoff(fisher(), 5e-324)
+    p, n_steps, _ = shoot_slope(cut, v, unstable_manifold_start(cut, v))
+    assert p < 0.0 and n_steps <= 1500
+
+
+def test_slope_shot_step_failure_on_non_finite_rate():
+    # a NaN rate is a numerical failure, not a path that turned
+    def nasty(u):
+        return u * (1.0 - u) if u >= 0.8 else math.nan
+
+    spec = ReactionSpec(name="nasty", f=nasty, fprime_at_1=-1.0,
+                        fdoubleprime_at_1=-2.0, sup_f=lambda u_c: 0.25)
+    cut = make_cutoff(spec, 0.5)
+    with pytest.raises(StepFailure):
+        shoot_slope(cut, 0.3, unstable_manifold_start(cut, 0.3))

@@ -8,8 +8,9 @@ from cutoffwave import (InsufficientTail, MaxIterations, NoSignChange,
                         by_name, cubic_kpp, fisher, fit_rear_constant,
                         lambda_plus, make_cutoff, shoot_residual,
                         small_uc_speed, solve_speed, sweep, v_upper_bound)
-from cutoffwave import solver
-from cutoffwave.integrator import IntegrationControl
+from cutoffwave import SpanExceeded, solver
+from cutoffwave.integrator import (IntegrationControl, shoot_slope,
+                                   unstable_manifold_start)
 
 # Independent high-accuracy speeds, frozen from a phase-plane formulation
 # d(beta)/d(alpha) = -v - f/beta solved with an eighth-order method at
@@ -130,18 +131,9 @@ def test_threshold_at_manifold_start_refused():
 
 
 def test_only_final_shot_keeps_path(monkeypatch):
-    from cutoffwave import solver
-
-    trace = solver.trace_until_alpha
-    kept = []
-
-    def spy(*args, **kwargs):
-        record, path = trace(*args, **kwargs)
-        kept.append(len(path))
-        return record, path
-
-    monkeypatch.setattr(solver, "trace_until_alpha", spy)
+    shots = _spy_controls(monkeypatch)
     sol = solve_speed(make_cutoff(fisher(), 0.3))
+    kept = [n for _, n in shots]
     assert len(kept) == sol.n_iterations + 3  # two bracket shots
     assert kept[-1] == len(sol.trajectory) > 0
     assert not any(kept[:-1])
@@ -327,14 +319,7 @@ def test_brent_keeps_bisection_worst_case(f):
 
 
 def test_few_shots_per_solve(monkeypatch):
-    shots = []
-    trace = solver.trace_until_alpha
-
-    def spy(*args, **kwargs):
-        shots.append(1)
-        return trace(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "trace_until_alpha", spy)
+    shots = _spy_controls(monkeypatch)
     grid = np.logspace(math.log10(0.9), -6.0, 10)
     curve = sweep(fisher(), [float(u) for u in grid])
     assert not curve.failures
@@ -409,16 +394,22 @@ def test_concurrent_solves_share_reactions():
 
 
 def _spy_controls(monkeypatch):
-    """Record the IntegrationControl and path length of every shot."""
-    trace = solver.trace_until_alpha
+    """Record the IntegrationControl and path length of every shot: the
+    search's slope shots keep no path, the final dense shot its segments."""
+    trace, slope = solver.trace_until_alpha, solver.shoot_slope
     shots = []
 
-    def spy(cutoff, v, start, level, control, dense=False):
+    def trace_spy(cutoff, v, start, level, control, dense=False):
         record, path = trace(cutoff, v, start, level, control, dense=dense)
         shots.append((control, len(path)))
         return record, path
 
-    monkeypatch.setattr(solver, "trace_until_alpha", spy)
+    def slope_spy(cutoff, v, start, control):
+        shots.append((control, 0))
+        return slope(cutoff, v, start, control)
+
+    monkeypatch.setattr(solver, "trace_until_alpha", trace_spy)
+    monkeypatch.setattr(solver, "shoot_slope", slope_spy)
     return shots
 
 
@@ -507,3 +498,32 @@ def test_turned_shot_forces_bisection():
     assert shoot_residual(cut, 0.0) == 1.0
     assert solver._search_value(cut, 0.0, ShootingConfig()) == \
         solver.TURNED_SENTINEL
+
+
+@pytest.mark.parametrize("v", [0.0, 0.5, 1.0])
+def test_slope_shot_of_valley_reaction_turns(v):
+    # the valley's negative rate stops U above the threshold: the slope
+    # shot rejects the stages where U'/U reaches 0 until its step
+    # underflows, and the search sees a turned shot
+    def valley(u):
+        return u * (1.0 - u) * (u - 0.25) * (u - 0.85)
+
+    spec = ReactionSpec(name="valley", f=valley, fprime_at_1=-0.1125,
+                        fdoubleprime_at_1=0.0, sup_f=lambda u_c: 0.05)
+    cut = make_cutoff(spec, 0.2)
+    with pytest.raises(SpanExceeded):
+        shoot_slope(cut, v, unstable_manifold_start(cut, v))
+    assert solver._search_value(cut, v, ShootingConfig()) == \
+        solver.TURNED_SENTINEL
+    assert shoot_residual(cut, v) == 1.0
+
+
+@pytest.mark.parametrize("name,u_c", [("fisher", 0.2), ("cubic", 0.1),
+                                      ("cubic", 0.2)])
+def test_default_speed_near_tight_tolerance_speed(name, u_c):
+    # the thresholds where the default speed lies furthest from the
+    # converged one still agree with it to 3e-13
+    cut = make_cutoff(by_name(name), u_c)
+    tight = ShootingConfig(control=IntegrationControl(1e-14, 1e-14))
+    assert abs(solve_speed(cut).v_star
+               - solve_speed(cut, config=tight).v_star) <= 3e-13
