@@ -168,7 +168,12 @@ def _make_grid(uc_min: float, uc_max: float, count: int,
         grid = np.logspace(math.log10(uc_min), math.log10(uc_max), count)
     else:
         grid = np.linspace(uc_min, uc_max, count)
-    return sorted((float(u) for u in grid), reverse=True)
+    values = sorted((float(u) for u in grid), reverse=True)
+    if len(set(values)) < len(values):
+        raise UsageError(f"--uc-min {uc_min!r}, --uc-max {uc_max!r} and "
+                         f"--count {count} give repeated thresholds; widen "
+                         "the range or lower the count")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +182,11 @@ def _make_grid(uc_min: float, uc_max: float, count: int,
 def _solve_row(payload: tuple) -> tuple[SpeedPoint, str | None]:
     name, u_c, config = payload
     try:
-        sol = solve_speed(make_cutoff(by_name(name), u_c), None, config)
+        return solve_speed(make_cutoff(by_name(name), u_c), None, config,
+                           speed_only=True), None
     except CutoffWaveError as exc:
         return (SpeedPoint(u_c, math.nan, math.nan, 0),
                 f"{type(exc).__name__}: {exc}")
-    return SpeedPoint(u_c, sol.v_star, sol.residual, sol.n_iterations), None
 
 
 def _solve_rows(name: str, reaction: ReactionSpec, config: ShootingConfig,

@@ -32,7 +32,10 @@ Stage 1 is skipped when the caller's tolerance is already that loose.
 The residual criterion is then verified on r at the final midpoint:
 stopping on r alone cannot pin the speed for small u_c, since r carries
 the factor u_c.  Only that final shot steps in y, with
-``trace_until_alpha``, and keeps its dense path for the profile.
+``trace_until_alpha``; it keeps its dense path for the profile unless
+the caller asks for the speed alone, as every ``sweep`` row does.
+``sweep`` seeds each row's bracket by a secant through the last two
+speeds in ln u_c, padded by a multiple of the last prediction's miss.
 """
 
 from __future__ import annotations
@@ -64,11 +67,18 @@ _BRACKET_WIDTH_FLOOR = 1e-14
 _COARSE_TOL = 1e-8
 
 #: stage 1 stops at a bracket about this wide, and stage 2 opens its
-#: bracket this far on either side of stage 1's midpoint
-_FINE_HALF_WIDTH = 1e-6
+#: bracket this far on either side of stage 1's midpoint (stage 1's
+#: midpoint lies within about 5e-9 of v*; the widening covers a miss)
+_FINE_HALF_WIDTH = 1e-8
 
-#: half-width of the bracket seeded around a guessed speed
+#: default half-width of the bracket seeded around a guessed speed, and
+#: the pad of a sweep's first two rows
 _BRACKET_PAD = 0.25
+
+#: a sweep row predicted by the secant pads its bracket by this many
+#: times the last row's miss, and by no less than _MIN_SECANT_PAD
+_MISS_FACTOR = 4.0
+_MIN_SECANT_PAD = 1e-6
 
 #: the bracket may lag this many halvings behind bisection's pace before
 #: a bisection step is forced, so a search takes at most this many shots
@@ -275,10 +285,12 @@ def _widen(f: Callable[[float], float], lo: float, hi: float, vub: float,
 
 
 def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
-                config: ShootingConfig | None = None) -> WaveSolution:
+                config: ShootingConfig | None = None, *,
+                pad: float = _BRACKET_PAD, speed_only: bool = False,
+                ) -> WaveSolution | SpeedPoint:
     """Find the unique wave speed v*(u_c) by a two-stage Brent search.
 
-    A guess seeds a bracket of half-width ``_BRACKET_PAD`` (no guess:
+    A guess seeds a bracket of half-width ``pad`` (no guess:
     [0, min(2, v_upper_bound)]) that is widened geometrically, clipped
     to [0, min(2, v_upper_bound)], until the residual changes sign
     across it.  Stage 1 collapses it to about ``_FINE_HALF_WIDTH`` with
@@ -291,6 +303,10 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     ``config.max_bisections`` such shots leave the bracket wider or the
     final residual misses ``config.residual_tol``, and ValueError when
     u_c is not below 1 - epsilon_manifold.
+
+    With ``speed_only`` the final shot stores no path and a
+    :class:`SpeedPoint` is returned; otherwise a :class:`WaveSolution`
+    with its trajectory, a 1,201-sample profile and ``y_half``.
     """
     if config is None:
         config = ShootingConfig()
@@ -318,8 +334,8 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     if guess is None:
         lo, hi = 0.0, vub
     else:
-        lo = max(0.0, guess - _BRACKET_PAD)
-        hi = min(guess + _BRACKET_PAD, vub)
+        lo = max(0.0, guess - pad)
+        hi = min(guess + pad, vub)
         if lo >= hi:
             lo, hi = 0.0, vub
     if coarse != fine:
@@ -332,7 +348,7 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     start = unstable_manifold_start(cutoff, v_star, config.epsilon_manifold)
     try:
         record, traj = trace_until_alpha(cutoff, v_star, start, cutoff.u_c,
-                                         config.control, dense=True)
+                                         config.control, dense=not speed_only)
     except SpanExceeded:
         record = None
     r_final = 1.0 if record is None else cutoff.u_c * (record.log_slope
@@ -341,6 +357,8 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
         raise MaxIterations(
             f"residual {r_final:.3e} exceeds {config.residual_tol:g} after "
             f"{n_iter} search shots (bracket width {hi - lo:.3e})")
+    if speed_only:
+        return SpeedPoint(cutoff.u_c, v_star, r_final, n_iter)
 
     solution = WaveSolution(
         u_c=cutoff.u_c, v_star=v_star, residual=r_final, bracket=(lo, hi),
@@ -397,10 +415,16 @@ def sweep(reaction: ReactionSpec, u_c_values: Sequence[float],
           config: ShootingConfig | None = None) -> SpeedCurve:
     """Continuation sweep over descending thresholds.
 
-    Each solve warm-starts its bracket from the previous speed; the
-    first uses the speed bound 2 of the problem without cut-off.  Rows
-    that fail keep their place with NaN entries and the failure message
-    is kept alongside.
+    The first row's bracket is seeded at the speed bound 2 of the
+    problem without cut-off and the second at the first row's speed,
+    both with half-width ``_BRACKET_PAD``.  From then on the guess is
+    the secant through the last two solved speeds in ln u_c, clipped
+    to at most 2, and the pad is ``_MISS_FACTOR`` times the last
+    solved row's miss |guess - v*|, at least ``_MIN_SECANT_PAD``;
+    ``solve_speed`` widens a bracket that misses.  Each row calls
+    ``solve_speed`` once, for the speed alone.  Rows that fail keep
+    their place with NaN entries and the failure message is kept
+    alongside.
     """
     if config is None:
         config = ShootingConfig()
@@ -412,17 +436,25 @@ def sweep(reaction: ReactionSpec, u_c_values: Sequence[float],
 
     rows: list[SpeedPoint] = []
     failures: dict[float, str] = {}
-    guess = 2.0
+    solved: list[SpeedPoint] = []  # the last two rows that solved
+    guess, pad = 2.0, _BRACKET_PAD
     for u_c in values:
+        if len(solved) == 2:
+            (u0, v0), (u1, v1) = [(r.u_c, r.v_star) for r in solved]
+            guess = min(v1 + (v1 - v0) * math.log(u_c / u1)
+                        / math.log(u1 / u0), _SPEED_CAP)
         try:
-            sol = solve_speed(make_cutoff(reaction, u_c), guess, config)
+            row = solve_speed(make_cutoff(reaction, u_c), guess, config,
+                              pad=pad, speed_only=True)
         except CutoffWaveError as exc:
             failures[u_c] = f"{type(exc).__name__}: {exc}"
             rows.append(SpeedPoint(u_c, math.nan, math.nan, 0))
             continue
-        rows.append(SpeedPoint(u_c, sol.v_star, sol.residual,
-                               sol.n_iterations))
-        guess = sol.v_star
+        rows.append(row)
+        solved = [*solved[-1:], row]
+        if len(solved) == 2:
+            pad = max(_MISS_FACTOR * abs(guess - row.v_star), _MIN_SECANT_PAD)
+        guess = row.v_star
     return SpeedCurve(rows=rows, failures=failures)
 
 

@@ -144,6 +144,19 @@ def test_compare_rejects_bad_jobs_and_removed_flag(capsys):
     assert code == 2 and "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_degenerate_grid_names_its_flags(capsys, monkeypatch, command, jobs):
+    # equal bounds give one threshold three times; both row paths refuse
+    # the grid before solving and name the flags that made it
+    sizes = _recording_pool(monkeypatch)
+    code, out, err = run_cli(capsys, command, "--uc-min", "0.1", "--uc-max",
+                             "0.1", "--count", "3", "--jobs", jobs)
+    assert code == 2 and out == "" and sizes == []
+    assert all(flag in err for flag in ("--uc-min", "--uc-max", "--count"))
+    assert "repeated thresholds" in err
+
+
 def _recording_pool(monkeypatch) -> list:
     """Replace the process pool by an in-process one; returns its sizes."""
     sizes = []

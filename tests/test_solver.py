@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from cutoffwave import (InsufficientTail, MaxIterations, NoSignChange,
-                        Profile, ReactionSpec, ShootingConfig, assemble_profile,
-                        by_name, cubic_kpp, fisher, fit_rear_constant,
-                        lambda_plus, make_cutoff, shoot_residual,
-                        small_uc_speed, solve_speed, sweep, v_upper_bound)
+                        Profile, ReactionSpec, ShootingConfig, SpeedPoint,
+                        assemble_profile, by_name, cubic_kpp, fisher,
+                        fit_rear_constant, lambda_plus, make_cutoff,
+                        shoot_residual, small_uc_speed, solve_speed, sweep,
+                        v_upper_bound)
 from cutoffwave import SpanExceeded, solver
 from cutoffwave.integrator import (IntegrationControl, shoot_slope,
                                    unstable_manifold_start)
@@ -367,6 +368,70 @@ def test_sweep_rejects_bad_order(fisher_spec):
         sweep(fisher_spec, [0.5, 1.5])
 
 
+def test_sweep_row_is_one_speed_only_solve(monkeypatch):
+    # a caller that wraps solver.solve_speed sees each sweep row as one
+    # call, and the row's final shot stores no path
+    calls, dense = [], []
+    solve, trace = solver.solve_speed, solver.trace_until_alpha
+
+    def counted(cutoff, *args, **kwargs):
+        calls.append(cutoff.u_c)
+        return solve(cutoff, *args, **kwargs)
+
+    def traced(*args, **kwargs):
+        dense.append(kwargs.get("dense", True))
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_speed", counted)
+    monkeypatch.setattr(solver, "trace_until_alpha", traced)
+    values = [0.9, 0.5, 0.1, 1e-3, 1e-6]
+    curve = sweep(fisher(), values)
+    assert not curve.failures
+    assert calls == values
+    assert dense == [False] * len(values)
+    assert all(type(row) is SpeedPoint for row in curve.rows)
+
+    # called as before, solve_speed still builds the whole solution
+    cut = make_cutoff(fisher(), 0.1)
+    sol = solver.solve_speed(cut)
+    assert dense[-1] is True
+    assert len(sol.trajectory) > 0
+    assert sol.profile.y.size == sol.profile.u.size == 1201
+    assert sol.y_half < 0.0 and sol.trajectory.find_alpha(0.5) is not None
+    assert solver.solve_speed(cut, speed_only=True) == SpeedPoint(
+        sol.u_c, sol.v_star, sol.residual, sol.n_iterations)
+
+
+ACCEPTANCE_GRID = sorted((float(u) for u in
+                          np.logspace(-10.0, math.log10(0.99), 60)),
+                         reverse=True)
+
+
+@pytest.mark.parametrize("reaction", [fisher, cubic_kpp])
+def test_secant_continuation_saves_shots(reaction):
+    # the secant takes about 510 shots on this grid; a bracket of +-0.25
+    # around the previous speed takes 741 (Fisher) and 754 (cubic)
+    spec = reaction()
+    curve = sweep(spec, ACCEPTANCE_GRID)
+    assert not curve.failures
+    assert sum(row.n_iterations for row in curve.rows) <= 600
+    for i in (0, 1, 2, 3, 30, 59):
+        row = curve.rows[i]
+        cold = solve_speed(make_cutoff(spec, row.u_c))
+        assert abs(row.v_star - cold.v_star) <= 1e-13
+
+
+def test_secant_miss_is_widened():
+    # the secant through 0.9 and 0.89 predicts far above v*(1e-6) and
+    # is clipped to 2; the pad, four times the second row's miss, does
+    # not reach v*, so the bracket is widened down to it
+    curve = sweep(fisher(), [0.9, 0.89, 1e-6])
+    assert not curve.failures
+    for row in curve.rows:
+        cold = solve_speed(make_cutoff(fisher(), row.u_c))
+        assert abs(row.v_star - cold.v_star) <= 1e-13
+
+
 def test_tolerance_robustness_of_speed():
     cut = make_cutoff(fisher(), 0.5)
     v8 = solve_speed(cut, config=ShootingConfig(residual_tol=1e-8)).v_star
@@ -454,6 +519,19 @@ def test_loose_tolerance_skips_coarse_stage(monkeypatch, tol):
     else:
         assert floors == [solver._BRACKET_WIDTH_FLOOR]
         assert {c for c, _ in shots} == {control}
+
+
+@pytest.mark.parametrize("reaction", [fisher, cubic_kpp])
+@pytest.mark.parametrize("u_c,most", [(1e-3, 4), (1e-5, 4), (1e-300, 8)])
+def test_few_shots_at_caller_tolerance(monkeypatch, reaction, u_c, most):
+    # stage 2 opens +-1e-8 around stage 1's midpoint, which lies within
+    # about 5e-9 of v*, so few shots at the caller's tolerance remain
+    shots = _spy_controls(monkeypatch)
+    config = ShootingConfig()
+    solve_speed(make_cutoff(reaction(), u_c), config=config)
+    fine = [n for c, n in shots if c == config.control]
+    assert fine[-1] > 0 and not any(fine[:-1])  # the final shot is dense
+    assert len(fine) - 1 <= most
 
 
 # cold speeds of a single-stage search at tolerance 1e-12; the stage-2
