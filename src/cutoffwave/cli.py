@@ -219,7 +219,8 @@ def _report(failures: dict[float, str]) -> int:
 
 def _cmd_solve(args, name, reaction, config) -> int:
     u_c = _check_uc(args.uc)
-    sol = solve_speed(make_cutoff(reaction, u_c), None, config)
+    sol = solve_speed(make_cutoff(reaction, u_c), None, config,
+                      speed_only=True)
     _write(["u_c", "v_star", "residual", "n_iterations", "bracket"],
            [(sol.u_c, sol.v_star, sol.residual, sol.n_iterations,
              sol.bracket)], args.format, args.output, one=True)

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -143,14 +144,22 @@ class Trajectory:
     def __init__(self, y_start: float) -> None:
         self.y_start = y_start
         self.y_end = y_start
-        # per segment: (y0, h, w0, p0, qw, qp) with q* the quartic coeffs
+        # per segment the flat 12-tuple (y0, h, w0, p0, qw0..qw3, qp0..qp3),
+        # q* the quartic coefficients of w and p
         self._segments: list[tuple] = []
-        # (y0, h, w0, p0, *qw, *qp) per segment, built when first sampled
-        # (again after segments are added): unread shots never pay for it
+        # the segments as an (n, 12) array, built when first read (again
+        # after segments are added): unread shots never pay for it
         self._rows: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._segments)
+
+    def _table(self) -> np.ndarray:
+        n = len(self._segments)
+        if self._rows is None or len(self._rows) != n:
+            self._rows = np.fromiter(chain.from_iterable(self._segments),
+                                     float, 12 * n).reshape(n, 12)
+        return self._rows
 
     def sample(self, y):
         """(alpha, beta) at y: floats for a float, arrays for a 1-D array.
@@ -164,11 +173,9 @@ class Trajectory:
         if outside.size:
             raise ValueError(f"y={float(outside[0])} outside sampled range "
                              f"[{self.y_start}, {self.y_end}]")
-        if self._rows is None or len(self._rows) != len(self):
-            self._rows = np.array([(y0, h, w0, p0, *qw, *qp) for
-                                   y0, h, w0, p0, qw, qp in self._segments])
-        i = np.searchsorted(self._rows[:, 0], ys, side="right") - 1
-        y0, h, w0, p0, *q = self._rows[np.maximum(i, 0)].T
+        rows = self._table()
+        i = np.searchsorted(rows[:, 0], ys, side="right") - 1
+        y0, h, w0, p0, *q = rows[np.maximum(i, 0)].T
         t = (ys - y0) / h
         a = exp_each(_quartic(w0, h, q[:4], t))
         b = a * _quartic(p0, h, q[4:], t)
@@ -183,22 +190,25 @@ class Trajectory:
         None when the trajectory never reaches the level (always for a
         level <= 0).  Segments cut short by an event are only searched
         up to the cut, never into the discarded overrun of the step
-        polynomial.
+        polynomial.  The segment is picked on every segment's end value
+        at once; only that segment is bisected.
         """
-        if target <= 0.0:
+        if target <= 0.0 or not self._segments:
             return None
         w_target = math.log(target)
-        segments = self._segments
-        for i, (y0, h, w0, p0, qw, qp) in enumerate(segments):
-            y_stop = (segments[i + 1][0] if i + 1 < len(segments)
-                      else self.y_end)
-            t_max = min(1.0, (y_stop - y0) / h)
-            w1 = _quartic(w0, h, qw, t_max)
-            if w0 >= w_target >= w1:
-                t = _bisect_theta(w0, h, qw, w_target, t_max)
-                a = math.exp(_quartic(w0, h, qw, t))
-                return (y0 + t * h, a, a * _quartic(p0, h, qp, t))
-        return None
+        rows = self._table()
+        y0, h, w0 = rows[:, 0], rows[:, 1], rows[:, 2]
+        t_max = np.minimum(1.0, (np.append(y0[1:], self.y_end) - y0) / h)
+        w1 = _quartic(w0, h, rows[:, 4:8].T, t_max)
+        hit = np.flatnonzero((w0 >= w_target) & (w_target >= w1))
+        if not hit.size:
+            return None
+        i = int(hit[0])
+        y0, h, w0, p0, *q = self._segments[i]
+        qw, qp = q[:4], q[4:]
+        t = _bisect_theta(w0, h, qw, w_target, float(t_max[i]))
+        a = math.exp(_quartic(w0, h, qw, t))
+        return (y0 + t * h, a, a * _quartic(p0, h, qp, t))
 
     def extend(self, other: "Trajectory") -> None:
         """Append a continuation leg; the legs must abut in y."""
@@ -300,7 +310,9 @@ class _Integration:
                 # phase path has left the wave region and cannot come back
                 self._store(y, w, p, h)
                 return False
-            h_min = 1e-14 * max(1.0, abs(y))
+            # the per-step control is written with comparisons, not with
+            # max/min/abs calls, and picks the same floats those would
+            h_min = 1e-14 * (y if y > 1.0 else -y if y < -1.0 else 1.0)
             if h < h_min:
                 if p * h_min < -1e-4:
                     # alpha falls to 0 within 1e4 * h_min, and with it w
@@ -343,14 +355,21 @@ class _Integration:
                              + _E6 * p6 + _E7 * p_new)
                 err_p = h * (_E1 * dp + _E3 * dp3 + _E4 * dp4 + _E5 * dp5
                              + _E6 * dp6 + _E7 * dp7)
-                sw = atol + rtol * max(abs(w), abs(w_new))
-                sp = atol + rtol * max(abs(p), abs(p_new))
+                # max(|a|, |b|) passes over a NaN b, as max(abs(a), abs(b))
+                m = w if w > 0.0 else -w
+                m_new = w_new if w_new > 0.0 else -w_new
+                sw = atol + rtol * (m_new if m_new > m else m)
+                m = p if p > 0.0 else -p
+                m_new = p_new if p_new > 0.0 else -p_new
+                sp = atol + rtol * (m_new if m_new > m else m)
                 err = math.sqrt(0.5 * ((err_w / sw) ** 2 + (err_p / sp) ** 2))
 
             if not err <= 1.0:  # rejects NaN estimates as well
                 self.n_rejects += 1
-                h *= _MIN_FACTOR if not math.isfinite(err) else max(
-                    _MIN_FACTOR, _SAFETY * err ** -0.2)
+                # 0 for an infinite err and NaN for a NaN one: both shrink
+                # h by _MIN_FACTOR
+                factor = _SAFETY * err ** -0.2
+                h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
                 continue
 
             crossed = w_new <= w_stop
@@ -372,10 +391,12 @@ class _Integration:
                       _P1[3] * dp + _P3[3] * dp3 + _P4[3] * dp4 + _P5[3] * dp5
                       + _P6[3] * dp6 + _P7[3] * dp7)
                 if dense:
-                    segments.append((y, h, w, p, qw, qp))
+                    segments.append((y, h, w, p, *qw, *qp))
             self.n_steps += 1
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
+            # err <= 1 here, so the factor is at least _SAFETY > _MIN_FACTOR
+            factor = _SAFETY * err ** -0.2 if err else _MAX_FACTOR
+            if factor > _MAX_FACTOR:
+                factor = _MAX_FACTOR
 
             if crossed:
                 t = _bisect_theta(w, h, qw, w_stop)
@@ -414,8 +435,8 @@ class _Integration:
         if s > 0.0:
             if self.dense:
                 self.trajectory._segments.append(
-                    (y, s, w, p, ((w_stop - w) / s, 0.0, 0.0, 0.0),
-                     ((p_event - p) / s, 0.0, 0.0, 0.0)))
+                    (y, s, w, p, (w_stop - w) / s, 0.0, 0.0, 0.0,
+                     (p_event - p) / s, 0.0, 0.0, 0.0))
             self.n_steps += 1
         self.y, self.w, self.p, self.h = y + s, w_stop, p_event, h
         self.state = PhaseState(alpha_stop, beta)
@@ -533,7 +554,8 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
                 return q * exp(t_end - t) - v, n_steps + 1, n_rejects
             except OverflowError:  # q < 0 here
                 return -math.inf, n_steps + 1, n_rejects
-        if h < 1e-14 * max(1.0, t):
+        # comparisons, not max/min/abs calls, pick the same floats
+        if h < 1e-14 * (t if t > 1.0 else 1.0):
             if err != err:
                 raise StepFailure(f"step size underflow at U={exp(-t):.6g}: "
                                   "non-finite rate")
@@ -542,18 +564,19 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
         last = t + h >= t_end
         if last:
             h = t_end - t
+        w = -t  # ln U at the step's start
         try:
             p2 = p + h * (_A21 * dp)
-            u = exp(-t - _C2 * h); dp2 = p2 + v + f(u) / u / p2
+            u = exp(w - _C2 * h); dp2 = p2 + v + f(u) / u / p2
             p3 = p + h * (_A31 * dp + _A32 * dp2)
-            u = exp(-t - _C3 * h); dp3 = p3 + v + f(u) / u / p3
+            u = exp(w - _C3 * h); dp3 = p3 + v + f(u) / u / p3
             p4 = p + h * (_A41 * dp + _A42 * dp2 + _A43 * dp3)
-            u = exp(-t - _C4 * h); dp4 = p4 + v + f(u) / u / p4
+            u = exp(w - _C4 * h); dp4 = p4 + v + f(u) / u / p4
             p5 = p + h * (_A51 * dp + _A52 * dp2 + _A53 * dp3 + _A54 * dp4)
-            u = exp(-t - _C5 * h); dp5 = p5 + v + f(u) / u / p5
+            u = exp(w - _C5 * h); dp5 = p5 + v + f(u) / u / p5
             p6 = p + h * (_A61 * dp + _A62 * dp2 + _A63 * dp3 + _A64 * dp4
                           + _A65 * dp5)
-            u = exp(-t - h); dp6 = p6 + v + f(u) / u / p6
+            u = exp(w - h); dp6 = p6 + v + f(u) / u / p6
             p_new = p + h * (_B1 * dp + _B3 * dp3 + _B4 * dp4 + _B5 * dp5
                              + _B6 * dp6)
             dp7 = p_new + v + f(u) / u / p_new
@@ -562,24 +585,29 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
         else:
             if (p2 < 0.0 and p3 < 0.0 and p4 < 0.0 and p5 < 0.0 and p6 < 0.0
                     and p_new < 0.0):
-                err = abs(h * (_E1 * dp + _E3 * dp3 + _E4 * dp4 + _E5 * dp5
-                               + _E6 * dp6 + _E7 * dp7)) / (
-                    atol + rtol * max(abs(p), abs(p_new)))
+                err = h * (_E1 * dp + _E3 * dp3 + _E4 * dp4 + _E5 * dp5
+                           + _E6 * dp6 + _E7 * dp7)
+                # p < 0 as well, so max(|p|, |p_new|) = -min(p, p_new)
+                err = (err if err > 0.0 else -err) / (
+                    atol + rtol * -(p if p < p_new else p_new))
             else:  # U stops falling inside the step, or a NaN stage
                 err = math.inf if p_new == p_new else math.nan
 
         if not err <= 1.0:
             n_rejects += 1
-            h *= _MIN_FACTOR if not math.isfinite(err) else max(
-                _MIN_FACTOR, _SAFETY * err ** -0.2)
+            # 0 for an infinite err and NaN for a NaN one: both shrink h
+            # by _MIN_FACTOR
+            factor = _SAFETY * err ** -0.2
+            h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             continue
         n_steps += 1
         if last:
             return p_new, n_steps, n_rejects
         t += h
         p, dp = p_new, dp7  # FSAL
-        h *= _MAX_FACTOR if err == 0.0 else min(
-            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
+        # err <= 1 here, so the factor is at least _SAFETY > _MIN_FACTOR
+        factor = _SAFETY * err ** -0.2 if err else _MAX_FACTOR
+        h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
 
 
 def trace_field_until_alpha(rate: Callable[[float], float], v: float,

@@ -150,6 +150,8 @@ class SpeedPoint:
     v_star: float
     residual: float
     n_iterations: int
+    #: the final speed bracket; NaN for a row that failed
+    bracket: tuple[float, float] = (math.nan, math.nan)
 
 
 @dataclass
@@ -305,8 +307,9 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     u_c is not below 1 - epsilon_manifold.
 
     With ``speed_only`` the final shot stores no path and a
-    :class:`SpeedPoint` is returned; otherwise a :class:`WaveSolution`
-    with its trajectory, a 1,201-sample profile and ``y_half``.
+    :class:`SpeedPoint`, bracket included, is returned; otherwise a
+    :class:`WaveSolution` with its trajectory, a 1,201-sample profile
+    and ``y_half``.
     """
     if config is None:
         config = ShootingConfig()
@@ -358,7 +361,7 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
             f"residual {r_final:.3e} exceeds {config.residual_tol:g} after "
             f"{n_iter} search shots (bracket width {hi - lo:.3e})")
     if speed_only:
-        return SpeedPoint(cutoff.u_c, v_star, r_final, n_iter)
+        return SpeedPoint(cutoff.u_c, v_star, r_final, n_iter, (lo, hi))
 
     solution = WaveSolution(
         u_c=cutoff.u_c, v_star=v_star, residual=r_final, bracket=(lo, hi),

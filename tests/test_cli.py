@@ -8,7 +8,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import cutoffwave
-from cutoffwave import assemble_profile, cli, fisher, make_cutoff, solve_speed
+from cutoffwave import (assemble_profile, cli, fisher, make_cutoff,
+                        solve_speed, solver)
 from cutoffwave.cli import main
 
 
@@ -49,6 +50,32 @@ def test_solve_json(capsys):
     assert abs(payload["v_star"] - (0.1 + 0.01 / 6.0)) < 1e-3
     assert abs(payload["residual"]) <= 1e-8
     assert len(payload["bracket"]) == 2
+
+
+def test_solve_skips_the_dense_shot(capsys, monkeypatch):
+    # solve prints only the speed and its bracket: no profile is built
+    # and the final shot stores no path
+    profiles, dense = [], []
+    assemble, trace = solver.assemble_profile, solver.trace_until_alpha
+
+    def assembled(*args, **kwargs):
+        profiles.append(args)
+        return assemble(*args, **kwargs)
+
+    def traced(*args, **kwargs):
+        dense.append(kwargs.get("dense", True))
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_profile", assembled)
+    monkeypatch.setattr(solver, "trace_until_alpha", traced)
+    code, out, _ = run_cli(capsys, "solve", "--uc", "1e-5")
+    assert code == 0 and profiles == [] and dense == [False]
+    monkeypatch.undo()
+    sol = solve_speed(make_cutoff(fisher(), 1e-5))
+    assert out == json.dumps(
+        {"u_c": sol.u_c, "v_star": sol.v_star, "residual": sol.residual,
+         "n_iterations": sol.n_iterations, "bracket": list(sol.bracket)},
+        indent=2) + "\n"
 
 
 def test_solve_rejects_out_of_range(capsys):

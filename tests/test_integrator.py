@@ -6,9 +6,10 @@ import pytest
 
 from cutoffwave import (IntegrationControl, PhaseState, ReactionSpec,
                         SpanExceeded, StepFailure, Trajectory, by_name,
-                        fisher, integrate_until_alpha, make_cutoff,
+                        cubic_kpp, fisher, integrate_until_alpha, make_cutoff,
                         trace_field_until_alpha, trace_until_alpha,
                         unstable_manifold_start)
+from cutoffwave import integrator
 from cutoffwave.integrator import shoot_slope
 
 
@@ -111,7 +112,8 @@ def test_sample_array_equals_pointwise():
         assert traj.sample(y) == (ai, bi)
         # the scalar Horner form of the segment, in the same float order
         i = max(bisect_right(starts, y) - 1, 0)
-        y0, h, w0, p0, qw, qp = traj._segments[i]
+        y0, h, w0, p0, *q = traj._segments[i]
+        qw, qp = q[:4], q[4:]
         t = (y - y0) / h
         ea = math.exp(w0 + h * t * (qw[0] + t * (qw[1] + t * (qw[2]
                                                              + t * qw[3]))))
@@ -167,6 +169,54 @@ def test_find_alpha_respects_event_split():
         y, a, b = traj.find_alpha(level)
         assert a == pytest.approx(level, abs=1e-13)
         assert b + v * a == pytest.approx(c0, abs=1e-11)
+
+
+def _find_alpha_by_scan(traj, target):
+    """find_alpha as a plain scan: the first segment whose w runs from
+    above the level to at or below it within its kept part."""
+    if target <= 0.0:
+        return None
+    w_target = math.log(target)
+    segments = traj._segments
+    for i, (y0, h, w0, p0, *q) in enumerate(segments):
+        y_stop = (segments[i + 1][0] if i + 1 < len(segments)
+                  else traj.y_end)
+        t_max = min(1.0, (y_stop - y0) / h)
+        if w0 >= w_target >= integrator._quartic(w0, h, q[:4], t_max):
+            t = integrator._bisect_theta(w0, h, q[:4], w_target, t_max)
+            a = math.exp(integrator._quartic(w0, h, q[:4], t))
+            return y0 + t * h, a, a * integrator._quartic(p0, h, q[4:], t)
+    return None
+
+
+@pytest.mark.parametrize("reaction", [fisher, cubic_kpp])
+def test_find_alpha_matches_segment_scan(reaction):
+    cut = make_cutoff(reaction(), 0.3)
+    v = 0.9
+    start = unstable_manifold_start(cut, v)
+    _, traj = trace_until_alpha(cut, v, start, 0.05)
+    y0, h, w0, _, *q = traj._segments[-1]
+    assert traj.y_end < y0 + h  # the last segment is cut at the event
+    overrun = math.exp(integrator._quartic(w0, h, q[:4], 1.0))
+    assert overrun < 0.05
+    # levels whose logarithm is a segment's start w0 exactly
+    w_starts = {seg[2] for seg in traj._segments}
+    starts = [a for a in map(math.exp, sorted(w_starts, reverse=True))
+              if math.log(a) in w_starts]
+    assert len(starts) > 20
+    levels = [*np.geomspace(0.05, 1.0 - 1e-9, 40).tolist(),
+              *starts[1::5], starts[-1], 0.3, 0.05]
+    for level in levels:
+        hit = traj.find_alpha(level)
+        assert hit == _find_alpha_by_scan(traj, level)
+        # the event's own level may end a rounding short on the interpolant
+        assert hit is not None or level == 0.05
+    # the overrun past the event, above the start, and levels <= 0
+    for level in (math.sqrt(overrun * 0.05), 0.01, 1.5, 0.0, -1.0):
+        assert traj.find_alpha(level) is None
+        assert _find_alpha_by_scan(traj, level) is None
+    _, empty = trace_until_alpha(cut, v, start, 0.05, dense=False)
+    assert empty.find_alpha(0.1) is None
 
 
 def test_linear_zone_conserves_beta_plus_v_alpha():

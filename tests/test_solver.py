@@ -399,7 +399,7 @@ def test_sweep_row_is_one_speed_only_solve(monkeypatch):
     assert sol.profile.y.size == sol.profile.u.size == 1201
     assert sol.y_half < 0.0 and sol.trajectory.find_alpha(0.5) is not None
     assert solver.solve_speed(cut, speed_only=True) == SpeedPoint(
-        sol.u_c, sol.v_star, sol.residual, sol.n_iterations)
+        sol.u_c, sol.v_star, sol.residual, sol.n_iterations, sol.bracket)
 
 
 ACCEPTANCE_GRID = sorted((float(u) for u in

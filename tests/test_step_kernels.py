@@ -1,0 +1,291 @@
+"""Golden bits of the two step loops, and a guard on their form.
+
+The values below were recorded with the step loops written with the
+builtins ``max``, ``min`` and ``abs``; the loops now use conditional
+expressions instead, which must leave every bit unchanged.  Floats are
+compared through ``float.hex``.
+"""
+
+import ast
+import inspect
+import textwrap
+
+import numpy as np
+import pytest
+
+from cutoffwave import (IntegrationControl, PhaseState, by_name, fisher,
+                        make_cutoff, solve_speed, trace_until_alpha,
+                        unstable_manifold_start)
+from cutoffwave import integrator
+from cutoffwave.integrator import shoot_slope
+
+#: v*(u_c) of the default solve, per (reaction, u_c)
+SPEEDS = {
+    ("fisher", 0.5): "0x1.1eba1cfa7a378p-1",
+    ("fisher", 0.001): "0x1.ce9d2ce69a9e4p+0",
+    ("fisher", 1e-10): "0x1.faf146b672773p+0",
+    ("fisher", 1e-300): "0x1.fffea4089d032p+0",
+    ("cubic", 0.5): "0x1.6fde39a0fc32ep-1",
+    ("cubic", 0.001): "0x1.dad85e8f54c03p+0",
+    ("cubic", 1e-10): "0x1.fb9e2ae026f34p+0",
+    ("cubic", 1e-300): "0x1.fffea5d0b98a8p+0",
+}
+
+# (reaction, u_c, tol) -> (p.hex(), steps, rejects) at v* + 1e-8,
+# v* - 1e-8 and v* - 0.5
+SLOPE_SHOTS = {
+    ("fisher", 0.5, 1e-08): (
+        ("-0x1.1eba1cbd29c96p-1", 19, 0),
+        ("-0x1.1eba1cfdeea26p-1", 19, 0),
+        ("-0x1.91bc93fd7d15ap-1", 18, 0),
+    ),
+    ("fisher", 0.5, 1e-12): (
+        ("-0x1.1eba1cda17cd3p-1", 92, 4),
+        ("-0x1.1eba1d1adca5cp-1", 92, 4),
+        ("-0x1.91bc940ee0dfbp-1", 83, 2),
+    ),
+    ("fisher", 0.001, 1e-08): (
+        ("-0x1.ce9d2ab709a85p+0", 77, 8),
+        ("-0x1.ce9d2e76363efp+0", 77, 8),
+        ("-0x1.33e530e3fc615p+5", 78, 3),
+    ),
+    ("fisher", 0.001, 1e-12): (
+        ("-0x1.ce9d2b07045eep+0", 428, 16),
+        ("-0x1.ce9d2ec630f0ep+0", 428, 16),
+        ("-0x1.33e530f3812a2p+5", 461, 16),
+    ),
+    ("fisher", 1e-10, 1e-08): (
+        ("-0x1.faf10ca033589p+0", 113, 13),
+        ("-0x1.faf16dbdd453ep+0", 113, 13),
+        ("-0x1.2528efb40527bp+27", 147, 5),
+    ),
+    ("fisher", 1e-10, 1e-12): (
+        ("-0x1.faf11627a8485p+0", 645, 18),
+        ("-0x1.faf17745498b1p+0", 645, 18),
+        ("-0x1.2528ef8e7b8cfp+27", 1200, 18),
+    ),
+    ("fisher", 1e-300, 1e-08): (
+        ("-0x1.ebb65d7921117p+0", 167, 32),
+        ("-0x1.0b2c0d78eab7fp+1", 169, 32),
+        ("-0x1.4c1e7656ee616p+990", 148, 7),
+    ),
+    ("fisher", 1e-300, 1e-12): (
+        ("-0x1.ebf6be175496dp+0", 963, 19),
+        ("-0x1.0b55dbf4cd077p+1", 975, 19),
+        ("-0x1.4c1e7630d692bp+990", 1208, 20),
+    ),
+    ("cubic", 0.5, 1e-08): (
+        ("-0x1.6fde397024cf8p-1", 21, 0),
+        ("-0x1.6fde39b41dbe3p-1", 21, 0),
+        ("-0x1.e38ccb8071bc6p-1", 16, 1),
+    ),
+    ("cubic", 0.5, 1e-12): (
+        ("-0x1.6fde397effbbfp-1", 102, 8),
+        ("-0x1.6fde39c2f8a9cp-1", 102, 8),
+        ("-0x1.e38ccb8c8a50cp-1", 70, 5),
+    ),
+    ("cubic", 0.001, 1e-08): (
+        ("-0x1.dad85ae821b87p+0", 69, 5),
+        ("-0x1.dad8600b835d2p+0", 69, 5),
+        ("-0x1.e05637ee6dd66p+5", 80, 4),
+    ),
+    ("cubic", 0.001, 1e-12): (
+        ("-0x1.dad85bfda3f4fp+0", 387, 14),
+        ("-0x1.dad8612105a9dp+0", 387, 14),
+        ("-0x1.e05637ce01098p+5", 478, 13),
+    ),
+    ("cubic", 1e-10, 1e-08): (
+        ("-0x1.fb9de376073eap+0", 96, 9),
+        ("-0x1.fb9e5aae4434dp+0", 96, 9),
+        ("-0x1.37027127e4864p+28", 140, 4),
+    ),
+    ("cubic", 1e-10, 1e-12): (
+        ("-0x1.fb9def440ec61p+0", 555, 13),
+        ("-0x1.fb9e667c4e1cfp+0", 555, 13),
+        ("-0x1.37027100052e7p+28", 1165, 13),
+    ),
+    ("cubic", 1e-300, 1e-08): (
+        ("-0x1.eb9fee493ffe4p+0", 148, 28),
+        ("-0x1.0b4daf7becc76p+1", 150, 28),
+        ("-0x1.6b7ee85e3251dp+991", 141, 5),
+    ),
+    ("cubic", 1e-300, 1e-12): (
+        ("-0x1.ebd17f43a67d1p+0", 858, 16),
+        ("-0x1.0b6dc1b7ff001p+1", 870, 16),
+        ("-0x1.6b7ee824fd6d4p+991", 1170, 15),
+    ),
+}
+
+# (reaction, u_c, v) -> EventRecord fields (y_event, alpha, beta as hex,
+# n_steps, n_rejects, log_slope as hex) and, of the dense shot, the
+# (alpha, beta) samples at 7 evenly spaced y
+Y_SHOTS = {
+    ("fisher", 0.5, 0.56): (
+        ("0x1.dd1d93fe29455p+4", "0x1.0000000000000p-1",
+         "-0x1.1ebaca0bead19p-2", 299, 6, "-0x1.1ebaca0bead19p-1"),
+        (
+            "0x1.ffffffff24190p-1", "0x1.ffffffdac4817p-1",
+            "0x1.fffff9b1a2bdap-1", "0x1.fffeee93143aep-1",
+            "0x1.ffd1b276a7ca5p-1", "0x1.f83640250d483p-1",
+            "0x1.fffffffffffaep-2", "-0x1.4d930c9b1fbc2p-34",
+            "-0x1.c3d42d35dcaf3p-29", "-0x1.321b9a147af63p-23",
+            "-0x1.9ec36203df302p-18", "-0x1.18e7b049460c3p-12",
+            "-0x1.775cebedcbbf0p-7", "-0x1.1ebaca0beace5p-2",
+        ),
+    ),
+    ("fisher", 1e-10, 1.98): (
+        ("0x1.3c29866013accp+6", "0x1.b7cdfd9d7bdbbp-34",
+         "-0x1.c3b1171f9fb4dp-33", 703, 4, "-0x1.06eb512ed5b14p+1"),
+        (
+            "0x1.ffffffff24190p-1", "0x1.ffffff2ed9ea1p-1",
+            "0x1.ffff38fff81bdp-1", "0x1.ff42dc006f9b3p-1",
+            "0x1.71f1d7b9a2b3bp-1", "0x1.503e0d96d61b1p-12",
+            "0x1.b7cdfd9d7be26p-34", "-0x1.6ef023c9308bfp-35",
+            "-0x1.5d0170e20418dp-27", "-0x1.4c0eed420f5f8p-19",
+            "-0x1.3b45163d9ab15p-11", "-0x1.735890538fc7ep-4",
+            "-0x1.37dbbaa76f4dcp-12", "-0x1.c3b1171f9fb9cp-33",
+        ),
+    ),
+    ("cubic", 0.001, 1.2): (
+        ("0x1.aa6600b236af2p+4", "0x1.0624dd2f1a9fcp-10",
+         "-0x1.9f5c1e8720544p-4", 795, 7, "-0x1.959ff5cff5924p+6"),
+        (
+            "0x1.ffffffff24190p-1", "0x1.ffffffc90e1d8p-1",
+            "0x1.fffff24518955p-1", "0x1.fffc91b6ca1abp-1",
+            "0x1.ff24d29eff4b0p-1", "0x1.cd7da049afc61p-1",
+            "0x1.0624dd2f1a6d2p-10", "-0x1.9bc207fe9cff8p-34",
+            "-0x1.9b87213e23ed0p-28", "-0x1.9b5824b471997p-22",
+            "-0x1.9b213ed860072p-16", "-0x1.99da080270be2p-10",
+            "-0x1.5c5f44be5dbedp-4", "-0x1.9f5c1e8720528p-4",
+        ),
+    ),
+    ("fisher", 1e-20, 0.0): (
+        ("0x1.7802c013b5276p+4", "0x1.79ca10c924223p-67",
+         "-0x1.279a7458ffbd1p-1", 2776, 7, "-0x1.909e028b7081ap+65"),
+        (
+            "0x1.ffffffff24190p-1", "0x1.ffffffd4d908cp-1",
+            "0x1.fffff7880952fp-1", "0x1.fffe568d7cb7fp-1",
+            "0x1.ffac86ad9bd18p-1", "0x1.efc9e7e7b870dp-1",
+            "0x1.7992cd185afe5p-67", "-0x1.b7cdfd9d7bdbbp-34",
+            "-0x1.5937ba0ffd902p-28", "-0x1.0efed422bec58p-22",
+            "-0x1.a9720d706de53p-17", "-0x1.4dd323cf31b99p-11",
+            "-0x1.00a0f372df3b3p-5", "-0x1.2771445c1f910p-1",
+        ),
+    ),
+}
+
+#: offsets from v* of the slope shots in SLOPE_SHOTS, in order
+OFFSETS = (1e-8, -1e-8, -0.5)
+
+
+def _hex(*values):
+    return tuple(float.hex(x) for x in values)
+
+
+@pytest.mark.parametrize("name,u_c", list(SPEEDS))
+def test_speed_bits(name, u_c):
+    point = solve_speed(make_cutoff(by_name(name), u_c), speed_only=True)
+    assert point.v_star.hex() == SPEEDS[name, u_c]
+
+
+@pytest.mark.parametrize("name,u_c,tol", list(SLOPE_SHOTS))
+def test_slope_shot_bits(name, u_c, tol):
+    cut = make_cutoff(by_name(name), u_c)
+    control = IntegrationControl(abs_tol=tol, rel_tol=tol)
+    for dv, expected in zip(OFFSETS, SLOPE_SHOTS[name, u_c, tol]):
+        v = float.fromhex(SPEEDS[name, u_c]) + dv
+        p, steps, rejects = shoot_slope(
+            cut, v, unstable_manifold_start(cut, v), control)
+        assert (p.hex(), steps, rejects) == expected, dv
+
+
+def _record_bits(record):
+    return (*_hex(record.y_event, record.state.alpha, record.state.beta),
+            record.n_steps, record.n_rejects, record.log_slope.hex())
+
+
+def _sample_bits(traj):
+    a, b = traj.sample(np.linspace(traj.y_start, traj.y_end, 7))
+    return _hex(*a.tolist(), *b.tolist())
+
+
+@pytest.mark.parametrize("name,u_c,v", list(Y_SHOTS))
+def test_y_shot_bits(name, u_c, v):
+    cut = make_cutoff(by_name(name), u_c)
+    start = unstable_manifold_start(cut, v)
+    fields, samples = Y_SHOTS[name, u_c, v]
+    record, traj = trace_until_alpha(cut, v, start, u_c)
+    assert _record_bits(record) == fields
+    assert _sample_bits(traj) == samples
+    record, traj = trace_until_alpha(cut, v, start, u_c, dense=False)
+    assert _record_bits(record) == fields and len(traj) == 0
+
+
+def test_non_finite_reject_bits():
+    # a first step of 1 sends the stages out of the float range: the
+    # rejects then shrink h by _MIN_FACTOR
+    cut = make_cutoff(fisher(), 0.5)
+    control = IntegrationControl(initial_step=1.0)
+    record, traj = trace_until_alpha(cut, 0.0, PhaseState(1e-3, -1.0), 1e-6,
+                                     control)
+    assert _record_bits(record) == (
+        "0x1.05e1c15097640p-10", "0x1.0c6f7a0b5ed8dp-20",
+        "-0x1.fffffffffe174p-1", 700, 8, "-0x1.e847fffffe2dfp+19")
+    assert _sample_bits(traj) == (
+        "0x1.0624dd2f1a9fdp-10", "0x1.b4fe79ee02401p-11",
+        "0x1.5db3397dcffa5p-11", "0x1.0667f90d9d3f2p-11",
+        "0x1.5e39713ad570fp-12", "0x1.5f45e0b4e0d9ep-13",
+        "0x1.0c6f7a0b5ed33p-20", "-0x1.0000000000001p+0",
+        "-0x1.00000000009a6p+0", "-0x1.0000000000072p+0",
+        "-0x1.000000000072dp+0", "-0x1.0000000000486p+0",
+        "-0x1.ffffffffffb2ap-1", "-0x1.fffffffffe14ep-1")
+
+
+#: shots whose steps grow by the full factor 10 (a first step of 1e-12,
+#: or a loose tolerance), with the bits and counts they gave
+CLAMPED_SLOPE_SHOTS = [
+    (("fisher", 0.5, 1.0, 1e-10, 1e-12), ("-0x1.ade8f4d0c8327p-2", 57, 2)),
+    (("cubic", 1e-3, 0.0, 1e-4, 1e-4), ("-0x1.6194517ba5172p+9", 13, 2)),
+    (("fisher", 1e-10, 1.9, 1e-6, 1e-12), ("-0x1.38b314a9cf329p+17", 90, 14)),
+]
+CLAMPED_Y_SHOTS = [
+    (("fisher", 0.5, 1.0),
+     ("0x1.25c074ff96df0p+5", "0x1.0000000000000p-1",
+      "-0x1.ade8f4d1579bdp-3", 297, 6, "-0x1.ade8f4d1579bdp-2")),
+    (("cubic", 1e-3, 1.5),
+     ("0x1.e4427b110867ap+4", "0x1.0624dd2f1a9fcp-10",
+      "-0x1.ff1d42067468ap-6", 710, 6, "-0x1.f322927a4dae3p+4")),
+]
+
+
+@pytest.mark.parametrize("case,expected", CLAMPED_SLOPE_SHOTS)
+def test_clamped_slope_shot_bits(case, expected):
+    name, u_c, v, tol, h0 = case
+    cut = make_cutoff(by_name(name), u_c)
+    control = IntegrationControl(abs_tol=tol, rel_tol=tol, initial_step=h0)
+    p, steps, rejects = shoot_slope(cut, v, unstable_manifold_start(cut, v),
+                                    control)
+    assert (p.hex(), steps, rejects) == expected
+
+
+@pytest.mark.parametrize("case,expected", CLAMPED_Y_SHOTS)
+def test_clamped_y_shot_bits(case, expected):
+    name, u_c, v = case
+    cut = make_cutoff(by_name(name), u_c)
+    record, _ = trace_until_alpha(cut, v, unstable_manifold_start(cut, v),
+                                  u_c, IntegrationControl(initial_step=1e-12),
+                                  dense=False)
+    assert _record_bits(record) == expected
+
+
+@pytest.mark.parametrize("fn", [integrator.shoot_slope,
+                                integrator._Integration.advance_to_alpha])
+def test_step_loops_call_no_builtins(fn):
+    """Each step is a few dozen float operations, so a builtin call per
+    step is a measurable share of its cost: the loops compare instead."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    loops = [n for n in ast.walk(tree) if isinstance(n, ast.While)]
+    assert loops
+    called = {n.func.id for loop in loops for n in ast.walk(loop)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert not called & {"max", "min", "abs"}
