@@ -9,9 +9,8 @@ from .errors import (CutoffWaveError, InsufficientTail, MaxIterations,
                      NoSignChange, ProfileTooShort, SpanExceeded,
                      StepFailure, WindowTooNarrow)
 from .integrator import (EventRecord, IntegrationControl, PhaseState,
-                         Trajectory, integrate_until_alpha,
-                         trace_field_until_alpha, trace_until_alpha,
-                         unstable_manifold_start)
+                         Trajectory, trace_field_until_alpha,
+                         trace_until_alpha, unstable_manifold_start)
 from .reaction import (BUILTIN_REACTIONS, CutoffReaction, ReactionSpec,
                        by_name, cubic_kpp, fisher, gamma_rate, lambda_plus,
                        make_cutoff, v_upper_bound, validate_kpp)
@@ -32,8 +31,8 @@ __all__ = [
     "SpanExceeded", "SpeedCurve", "SpeedPoint", "StepFailure", "Trajectory",
     "WaveSolution", "WindowTooNarrow", "assemble_profile", "by_name",
     "cubic_kpp", "fisher", "fit_edge_constants", "fit_rear_constant",
-    "gamma_rate", "integrate_until_alpha", "lambda_plus",
-    "large_uc_phase_path", "large_uc_speed", "make_cutoff",
+    "gamma_rate", "lambda_plus", "large_uc_phase_path", "large_uc_speed",
+    "make_cutoff",
     "measure_front_location", "shoot_residual", "small_uc_speed",
     "solve_reference", "solve_speed", "sweep", "trace_field_until_alpha",
     "trace_until_alpha", "unstable_manifold_start", "v_upper_bound",

@@ -25,7 +25,7 @@ class NoSignChange(CutoffWaveError):
 
 class MaxIterations(CutoffWaveError):
     """The speed search hit its shot cap before its bracket reached the
-    width floor, or the final shot missed the residual criterion."""
+    width floor, or the speed missed the residual criterion."""
 
 
 class InsufficientTail(CutoffWaveError):

@@ -17,9 +17,8 @@ control is relative to alpha and the slope ratio beta/alpha at a small
 threshold is resolved as sharply as at a large one.  Everything outside
 the stepper reads and writes (alpha, beta) = (e^w, e^w * p); the dense
 output is read back by ``Trajectory.sample`` at one y or an array of y.
-A shot that needs only its event record (``dense=False``) stores no
-segments and builds the interpolant only on the step that crosses the
-event, where the crossing is localized.
+Every accepted step stores its segment: the y-stepper serves only callers
+that read the path (a full solve, profiles, the reference wave).
 
 Threshold crossings (alpha reaching a target level, i.e. w reaching its
 logarithm) are terminal events, localized by bisection on the
@@ -144,6 +143,9 @@ class Trajectory:
     def __init__(self, y_start: float) -> None:
         self.y_start = y_start
         self.y_end = y_start
+        # ln alpha at y_end as traced (an event snaps it to its level),
+        # once the path has moved
+        self._w_end = math.inf
         # per segment the flat 12-tuple (y0, h, w0, p0, qw0..qw3, qp0..qp3),
         # q* the quartic coefficients of w and p
         self._segments: list[tuple] = []
@@ -190,8 +192,10 @@ class Trajectory:
         None when the trajectory never reaches the level (always for a
         level <= 0).  Segments cut short by an event are only searched
         up to the cut, never into the discarded overrun of the step
-        polynomial.  The segment is picked on every segment's end value
-        at once; only that segment is bisected.
+        polynomial.  The level the path was traced to is reached at its
+        end, where the interpolant may end a rounding short of it.  The
+        segment is picked on every segment's end value at once; only that
+        segment is bisected.
         """
         if target <= 0.0 or not self._segments:
             return None
@@ -200,6 +204,7 @@ class Trajectory:
         y0, h, w0 = rows[:, 0], rows[:, 1], rows[:, 2]
         t_max = np.minimum(1.0, (np.append(y0[1:], self.y_end) - y0) / h)
         w1 = _quartic(w0, h, rows[:, 4:8].T, t_max)
+        w1[-1] = min(w1[-1], self._w_end)
         hit = np.flatnonzero((w0 >= w_target) & (w_target >= w1))
         if not hit.size:
             return None
@@ -215,7 +220,7 @@ class Trajectory:
         if abs(other.y_start - self.y_end) > 1e-9:
             raise ValueError("trajectories do not abut")
         self._segments.extend(other._segments)
-        self.y_end = other.y_end
+        self.y_end, self._w_end = other.y_end, other._w_end
 
 
 def exp_each(x: np.ndarray) -> np.ndarray:
@@ -261,15 +266,14 @@ class _Integration:
     beta) point where the last leg stopped, the start until one moves.
     """
 
-    __slots__ = ("v", "control", "dense", "y", "w", "p", "h", "state",
+    __slots__ = ("v", "control", "y", "w", "p", "h", "state",
                  "n_steps", "n_rejects", "trajectory")
 
     def __init__(self, v: float, start: PhaseState, y0: float,
-                 control: IntegrationControl, *, dense: bool = True) -> None:
+                 control: IntegrationControl) -> None:
         a = start.alpha
         self.v = v
         self.control = control
-        self.dense = dense
         self.y = y0
         # next to the saddle a = 1 - eps and a - 1 is exact, so log1p
         # keeps every digit of eps; elsewhere log is the accurate form
@@ -290,17 +294,17 @@ class _Integration:
         f(alpha) and must be smooth over the leg; zone switching is the
         caller's job.
         """
+        traj = self.trajectory
         if self.state.alpha == alpha_stop:
-            self.trajectory.y_end = self.y
+            traj.y_end, traj._w_end = self.y, self.w
             return True
         v = self.v
         atol = self.control.abs_tol
         rtol = self.control.rel_tol
-        y_limit = self.trajectory.y_start + self.control.max_span
+        y_limit = traj.y_start + self.control.max_span
         w_stop = math.log(alpha_stop)
         exp = math.exp
-        dense = self.dense
-        segments = self.trajectory._segments
+        segments = traj._segments
         y, w, p, h = self.y, self.w, self.p, self.h
         u = exp(w)
         dp = -p * (p + v) - rate(u) / u
@@ -372,33 +376,30 @@ class _Integration:
                 h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
                 continue
 
-            crossed = w_new <= w_stop
-            if dense or crossed:
-                qw = (_P1[0] * p + _P3[0] * p3 + _P4[0] * p4 + _P5[0] * p5
-                      + _P6[0] * p6 + _P7[0] * p_new,
-                      _P1[1] * p + _P3[1] * p3 + _P4[1] * p4 + _P5[1] * p5
-                      + _P6[1] * p6 + _P7[1] * p_new,
-                      _P1[2] * p + _P3[2] * p3 + _P4[2] * p4 + _P5[2] * p5
-                      + _P6[2] * p6 + _P7[2] * p_new,
-                      _P1[3] * p + _P3[3] * p3 + _P4[3] * p4 + _P5[3] * p5
-                      + _P6[3] * p6 + _P7[3] * p_new)
-                qp = (_P1[0] * dp + _P3[0] * dp3 + _P4[0] * dp4 + _P5[0] * dp5
-                      + _P6[0] * dp6 + _P7[0] * dp7,
-                      _P1[1] * dp + _P3[1] * dp3 + _P4[1] * dp4 + _P5[1] * dp5
-                      + _P6[1] * dp6 + _P7[1] * dp7,
-                      _P1[2] * dp + _P3[2] * dp3 + _P4[2] * dp4 + _P5[2] * dp5
-                      + _P6[2] * dp6 + _P7[2] * dp7,
-                      _P1[3] * dp + _P3[3] * dp3 + _P4[3] * dp4 + _P5[3] * dp5
-                      + _P6[3] * dp6 + _P7[3] * dp7)
-                if dense:
-                    segments.append((y, h, w, p, *qw, *qp))
+            qw = (_P1[0] * p + _P3[0] * p3 + _P4[0] * p4 + _P5[0] * p5
+                  + _P6[0] * p6 + _P7[0] * p_new,
+                  _P1[1] * p + _P3[1] * p3 + _P4[1] * p4 + _P5[1] * p5
+                  + _P6[1] * p6 + _P7[1] * p_new,
+                  _P1[2] * p + _P3[2] * p3 + _P4[2] * p4 + _P5[2] * p5
+                  + _P6[2] * p6 + _P7[2] * p_new,
+                  _P1[3] * p + _P3[3] * p3 + _P4[3] * p4 + _P5[3] * p5
+                  + _P6[3] * p6 + _P7[3] * p_new)
+            qp = (_P1[0] * dp + _P3[0] * dp3 + _P4[0] * dp4 + _P5[0] * dp5
+                  + _P6[0] * dp6 + _P7[0] * dp7,
+                  _P1[1] * dp + _P3[1] * dp3 + _P4[1] * dp4 + _P5[1] * dp5
+                  + _P6[1] * dp6 + _P7[1] * dp7,
+                  _P1[2] * dp + _P3[2] * dp3 + _P4[2] * dp4 + _P5[2] * dp5
+                  + _P6[2] * dp6 + _P7[2] * dp7,
+                  _P1[3] * dp + _P3[3] * dp3 + _P4[3] * dp4 + _P5[3] * dp5
+                  + _P6[3] * dp6 + _P7[3] * dp7)
+            segments.append((y, h, w, p, *qw, *qp))
             self.n_steps += 1
             # err <= 1 here, so the factor is at least _SAFETY > _MIN_FACTOR
             factor = _SAFETY * err ** -0.2 if err else _MAX_FACTOR
             if factor > _MAX_FACTOR:
                 factor = _MAX_FACTOR
 
-            if crossed:
+            if w_new <= w_stop:
                 t = _bisect_theta(w, h, qw, w_stop)
                 y_event = y + t * h
                 p_event = _quartic(p, h, qp, t)
@@ -407,7 +408,7 @@ class _Integration:
                 self.y, self.w, self.p = y_event, w_stop, p_event
                 self.state = PhaseState(alpha_stop, alpha_stop * p_event)
                 self.h = h * factor
-                self.trajectory.y_end = y_event
+                traj.y_end, traj._w_end = y_event, w_stop
                 return True
 
             y += h
@@ -418,7 +419,7 @@ class _Integration:
         a = math.exp(w)
         self.y, self.w, self.p, self.h = y, w, p, h
         self.state = PhaseState(a, a * p)
-        self.trajectory.y_end = y
+        self.trajectory.y_end, self.trajectory._w_end = y, w
 
     def _cross_linearly(self, y: float, w: float, p: float, h: float,
                         w_stop: float, alpha_stop: float) -> None:
@@ -433,14 +434,13 @@ class _Integration:
         s = max(0.0, (alpha_stop - a) / beta)  # a may round below the level
         p_event = beta / alpha_stop
         if s > 0.0:
-            if self.dense:
-                self.trajectory._segments.append(
-                    (y, s, w, p, (w_stop - w) / s, 0.0, 0.0, 0.0,
-                     (p_event - p) / s, 0.0, 0.0, 0.0))
+            self.trajectory._segments.append(
+                (y, s, w, p, (w_stop - w) / s, 0.0, 0.0, 0.0,
+                 (p_event - p) / s, 0.0, 0.0, 0.0))
             self.n_steps += 1
         self.y, self.w, self.p, self.h = y + s, w_stop, p_event, h
         self.state = PhaseState(alpha_stop, beta)
-        self.trajectory.y_end = y + s
+        self.trajectory.y_end, self.trajectory._w_end = y + s, w_stop
 
     def record(self) -> EventRecord:
         return EventRecord(y_event=self.y, state=self.state,
@@ -460,14 +460,14 @@ def unstable_manifold_start(cutoff: CutoffReaction, v: float,
 def trace_until_alpha(cutoff: CutoffReaction, v: float, start: PhaseState,
                       alpha_target: float,
                       control: IntegrationControl | None = None,
-                      *, dense: bool = True,
                       ) -> tuple[EventRecord, Trajectory]:
-    """Like :func:`integrate_until_alpha` but also returns the dense path.
+    """Integrate the phase-plane system until alpha first hits the target.
 
-    With ``dense`` false the returned path is empty: no segment is
-    stored and the dense-output coefficients are built only on the step
-    that crosses the event, so a shot that only needs its record (a
-    bracket or root-finder shot) costs no memory.  The record is the same.
+    Returns the event record and the dense path.  The target must be
+    positive (alpha = e^w never reaches 0), else ValueError.  Raises
+    SpanExceeded when y outruns ``control.max_span`` first (the
+    trajectory turned, i.e. stalled above the target level) and
+    StepFailure on step-size underflow.
     """
     if control is None:
         control = IntegrationControl()
@@ -476,7 +476,7 @@ def trace_until_alpha(cutoff: CutoffReaction, v: float, start: PhaseState,
     if alpha_target <= 0.0 or start.alpha < alpha_target:
         raise ValueError("need start.alpha >= alpha_target > 0")
 
-    run = _Integration(v, start, 0.0, control, dense=dense)
+    run = _Integration(v, start, 0.0, control)
     u_c = cutoff.u_c
     base_f = cutoff.base.f
     # legs of smooth dynamics: above the threshold the gated rate equals
@@ -494,22 +494,6 @@ def trace_until_alpha(cutoff: CutoffReaction, v: float, start: PhaseState,
                 f"{control.max_span:g} (target {alpha_target:g}); "
                 "trajectory turned above the target")
     return run.record(), run.trajectory
-
-
-def integrate_until_alpha(cutoff: CutoffReaction, v: float, start: PhaseState,
-                          alpha_target: float,
-                          control: IntegrationControl | None = None,
-                          ) -> EventRecord:
-    """Integrate the phase-plane system until alpha first hits the target.
-
-    The target must be positive (alpha = e^w never reaches 0), else
-    ValueError.  Raises SpanExceeded when y outruns ``control.max_span``
-    first (the trajectory turned, i.e. stalled above the target level)
-    and StepFailure on step-size underflow.
-    """
-    record, _ = trace_until_alpha(cutoff, v, start, alpha_target, control,
-                                  dense=False)
-    return record
 
 
 def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,

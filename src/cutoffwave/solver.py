@@ -29,11 +29,12 @@ around stage 1's midpoint at the caller's tolerance (widening it when a
 sign disagrees) and collapses it to a width floor near machine
 precision, so the speed does not depend on the stage-1 tolerance.
 Stage 1 is skipped when the caller's tolerance is already that loose.
-The residual criterion is then verified on r at the final midpoint:
-stopping on r alone cannot pin the speed for small u_c, since r carries
-the factor u_c.  Only that final shot steps in y, with
-``trace_until_alpha``; it keeps its dense path for the profile unless
-the caller asks for the speed alone, as every ``sweep`` row does.
+The residual criterion is then checked at the final midpoint: stopping
+on r alone cannot pin the speed for small u_c, since r carries the
+factor u_c.  r changes sign across stage 2's final bracket, whose ends
+were shot at the caller's tolerance, so the end further from zero bounds
+r(v*) with no shot at v*.  Only a full solve steps in y, with
+``trace_until_alpha``, for the dense path of its profile.
 ``sweep`` seeds each row's bracket by a secant through the last two
 speeds in ln u_c, padded by a multiple of the last prediction's miss.
 """
@@ -202,7 +203,7 @@ def shoot_residual(cutoff: CutoffReaction, v: float,
 
 def _brent(f: Callable[[float], float], lo: float, hi: float, r_lo: float,
            r_hi: float, max_iter: int, floor: float = _BRACKET_WIDTH_FLOOR,
-           ) -> tuple[float, float, int]:
+           ) -> tuple[float, float, float, float, int]:
     """Collapse a bracket with f(lo) = r_lo < 0 <= r_hi = f(hi).
 
     Brent's zeroin (*Algorithms for Minimization without Derivatives*,
@@ -213,8 +214,9 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, r_lo: float,
     sentinel, or the bracket lags more than _BISECTION_SLACK halvings
     behind bisection's pace.  Stops once the half-width is within
     2*eps*|b| + floor/2, or on an exact zero, returned as
-    (b, b).  Returns the final bracket and the number of calls of f;
-    raises MaxIterations when max_iter calls leave the bracket wider.
+    (b, b).  Returns the final bracket (lo, hi), f at its ends and the
+    number of calls of f; raises MaxIterations when max_iter calls leave
+    the bracket wider.
     """
     # c starts equal to b, so the first pass sets c = a and the steps d, e
     a, fa, b, fb, c, fc = lo, r_lo, hi, r_hi, hi, r_hi
@@ -228,9 +230,9 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, r_lo: float,
         tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * floor
         m = 0.5 * (c - b)
         if fb == 0.0:
-            return b, b, n
+            return b, b, fb, fb, n
         if abs(m) <= tol:
-            return min(b, c), max(b, c), n
+            return (b, c, fb, fc, n) if b < c else (c, b, fc, fb, n)
         if n >= max_iter:
             raise MaxIterations(
                 f"bracket width {abs(c - b):.3e} is still above the floor "
@@ -300,16 +302,18 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     opens +-``_FINE_HALF_WIDTH`` around its midpoint at
     ``config.control``, widens it the same way and collapses it to
     ``_BRACKET_WIDTH_FLOOR``.  ``v_star`` is the midpoint of stage 2's
-    bracket.  ``n_iterations`` counts every shot but the two opening
-    bracket shots and the final one.  Raises MaxIterations when
-    ``config.max_bisections`` such shots leave the bracket wider or the
-    final residual misses ``config.residual_tol``, and ValueError when
-    u_c is not below 1 - epsilon_manifold.
+    bracket.  ``residual`` is u_c*(p + v) at the end of that bracket
+    further from zero, which bounds r(v*); 0 on an exact zero (lo == hi).
+    ``n_iterations`` counts every search shot but the two opening bracket
+    shots.  Raises MaxIterations when ``config.max_bisections`` such
+    shots leave the bracket wider or the residual misses
+    ``config.residual_tol``, and ValueError when u_c is not below
+    1 - epsilon_manifold.
 
-    With ``speed_only`` the final shot stores no path and a
-    :class:`SpeedPoint`, bracket included, is returned; otherwise a
-    :class:`WaveSolution` with its trajectory, a 1,201-sample profile
-    and ``y_half``.
+    With ``speed_only`` a :class:`SpeedPoint`, bracket included, is
+    returned and no shot steps in y; otherwise a dense y-shot at v*,
+    held to the same criterion, gives a :class:`WaveSolution` with its
+    trajectory, a 1,201-sample profile and ``y_half``.
     """
     if config is None:
         config = ShootingConfig()
@@ -321,7 +325,7 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     shots = 0
 
     def collapse(lo: float, hi: float, control: IntegrationControl,
-                 floor: float) -> tuple[float, float]:
+                 floor: float) -> tuple[float, float, float, float]:
         stage_config = replace(config, control=control)
 
         def f(v: float) -> float:
@@ -330,9 +334,8 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
             return _search_value(cutoff, v, stage_config)
 
         lo, hi, r_lo, r_hi = _widen(f, lo, hi, vub, cutoff.u_c)
-        lo, hi, _ = _brent(f, lo, hi, r_lo, r_hi,
-                           config.max_bisections - (shots - 2), floor)
-        return lo, hi
+        return _brent(f, lo, hi, r_lo, r_hi,
+                      config.max_bisections - (shots - 2), floor)[:4]
 
     if guess is None:
         lo, hi = 0.0, vub
@@ -342,29 +345,37 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
         if lo >= hi:
             lo, hi = 0.0, vub
     if coarse != fine:
-        mid = 0.5 * sum(collapse(lo, hi, coarse, _FINE_HALF_WIDTH))
+        mid = 0.5 * sum(collapse(lo, hi, coarse, _FINE_HALF_WIDTH)[:2])
         lo = max(0.0, mid - _FINE_HALF_WIDTH)
         hi = min(mid + _FINE_HALF_WIDTH, vub)
-    lo, hi = collapse(lo, hi, fine, _BRACKET_WIDTH_FLOOR)
+    lo, hi, g_lo, g_hi = collapse(lo, hi, fine, _BRACKET_WIDTH_FLOOR)
     n_iter = shots - 2
     v_star = 0.5 * (lo + hi)
-    start = unstable_manifold_start(cutoff, v_star, config.epsilon_manifold)
-    try:
-        record, traj = trace_until_alpha(cutoff, v_star, start, cutoff.u_c,
-                                         config.control, dense=not speed_only)
-    except SpanExceeded:
-        record = None
-    r_final = 1.0 if record is None else cutoff.u_c * (record.log_slope
-                                                       + v_star)
-    if record is None or abs(r_final) > config.residual_tol:
+    # r(v*) lies between r(lo) and r(hi); a turned end costs a shot at v*
+    g = g_lo if abs(g_lo) > abs(g_hi) else g_hi
+    gap = (math.tan(g) if g != TURNED_SENTINEL
+           else _gap(cutoff, v_star, config))
+    residual = math.inf if gap is None else cutoff.u_c * gap
+    worst = abs(residual)
+    if not speed_only:
+        start = unstable_manifold_start(cutoff, v_star,
+                                        config.epsilon_manifold)
+        try:
+            record, traj = trace_until_alpha(cutoff, v_star, start,
+                                             cutoff.u_c, config.control)
+        except SpanExceeded:
+            worst = math.inf
+        else:
+            worst = max(worst, abs(cutoff.u_c * (record.log_slope + v_star)))
+    if worst > config.residual_tol:
         raise MaxIterations(
-            f"residual {r_final:.3e} exceeds {config.residual_tol:g} after "
+            f"residual {worst:.3e} exceeds {config.residual_tol:g} after "
             f"{n_iter} search shots (bracket width {hi - lo:.3e})")
     if speed_only:
-        return SpeedPoint(cutoff.u_c, v_star, r_final, n_iter, (lo, hi))
+        return SpeedPoint(cutoff.u_c, v_star, residual, n_iter, (lo, hi))
 
     solution = WaveSolution(
-        u_c=cutoff.u_c, v_star=v_star, residual=r_final, bracket=(lo, hi),
+        u_c=cutoff.u_c, v_star=v_star, residual=residual, bracket=(lo, hi),
         n_iterations=n_iter, profile=Profile(np.empty(0), np.empty(0), np.empty(0)),
         y_half=0.0, cutoff=cutoff, trajectory=traj, y_event=record.y_event)
     # tail span 2/v* always covers the half-height point (ln(2u_c)/v*)

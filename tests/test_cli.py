@@ -54,22 +54,22 @@ def test_solve_json(capsys):
 
 def test_solve_skips_the_dense_shot(capsys, monkeypatch):
     # solve prints only the speed and its bracket: no profile is built
-    # and the final shot stores no path
-    profiles, dense = [], []
+    # and no shot steps in y
+    profiles, traced = [], []
     assemble, trace = solver.assemble_profile, solver.trace_until_alpha
 
     def assembled(*args, **kwargs):
         profiles.append(args)
         return assemble(*args, **kwargs)
 
-    def traced(*args, **kwargs):
-        dense.append(kwargs.get("dense", True))
+    def tracing(*args, **kwargs):
+        traced.append(args)
         return trace(*args, **kwargs)
 
     monkeypatch.setattr(solver, "assemble_profile", assembled)
-    monkeypatch.setattr(solver, "trace_until_alpha", traced)
+    monkeypatch.setattr(solver, "trace_until_alpha", tracing)
     code, out, _ = run_cli(capsys, "solve", "--uc", "1e-5")
-    assert code == 0 and profiles == [] and dense == [False]
+    assert code == 0 and profiles == [] and traced == []
     monkeypatch.undo()
     sol = solve_speed(make_cutoff(fisher(), 1e-5))
     assert out == json.dumps(

@@ -6,7 +6,7 @@ import pytest
 
 from cutoffwave import (IntegrationControl, PhaseState, ReactionSpec,
                         SpanExceeded, StepFailure, Trajectory, by_name,
-                        cubic_kpp, fisher, integrate_until_alpha, make_cutoff,
+                        cubic_kpp, fisher, make_cutoff,
                         trace_field_until_alpha, trace_until_alpha,
                         unstable_manifold_start)
 from cutoffwave import integrator
@@ -32,7 +32,7 @@ def test_manifold_start_values():
 def test_immediate_event():
     cut = make_cutoff(fisher(), 0.5)
     start = PhaseState(0.7, -0.3)
-    ev = integrate_until_alpha(cut, 1.0, start, 0.7)
+    ev = trace_until_alpha(cut, 1.0, start, 0.7)[0]
     assert ev.y_event == 0.0
     assert ev.state == start
     assert ev.n_steps == 0 and ev.n_rejects == 0
@@ -41,24 +41,24 @@ def test_immediate_event():
 def test_rejects_bad_preconditions():
     cut = make_cutoff(fisher(), 0.5)
     with pytest.raises(ValueError):
-        integrate_until_alpha(cut, -1.0, PhaseState(0.9, -0.1), 0.5)
+        trace_until_alpha(cut, -1.0, PhaseState(0.9, -0.1), 0.5)[0]
     with pytest.raises(ValueError):
-        integrate_until_alpha(cut, 1.0, PhaseState(0.4, -0.1), 0.5)
+        trace_until_alpha(cut, 1.0, PhaseState(0.4, -0.1), 0.5)[0]
 
 
 def test_event_beta_matches_quadrature_at_rest():
     # with v = 0 the phase path satisfies beta^2 = 2*int_alpha^1 f_c
     cut = make_cutoff(fisher(), 0.5)
     start = unstable_manifold_start(cut, 0.0)
-    ev = integrate_until_alpha(cut, 0.0, start, 0.5)
+    ev = trace_until_alpha(cut, 0.0, start, 0.5)[0]
     assert ev.state.beta == pytest.approx(-math.sqrt(1.0 / 6.0), abs=1e-9)
     assert ev.state.alpha == pytest.approx(0.5, abs=1e-13)
 
 
 def test_event_reached_at_high_speed():
     cut = make_cutoff(fisher(), 0.1)
-    ev = integrate_until_alpha(cut, 2.0, unstable_manifold_start(cut, 2.0),
-                               0.1)
+    ev = trace_until_alpha(cut, 2.0, unstable_manifold_start(cut, 2.0),
+                           0.1)[0]
     assert ev.state.beta < 0.0
 
 
@@ -173,16 +173,20 @@ def test_find_alpha_respects_event_split():
 
 def _find_alpha_by_scan(traj, target):
     """find_alpha as a plain scan: the first segment whose w runs from
-    above the level to at or below it within its kept part."""
+    above the level to at or below it within its kept part, the last
+    segment ending at the level the path was traced to."""
     if target <= 0.0:
         return None
     w_target = math.log(target)
     segments = traj._segments
     for i, (y0, h, w0, p0, *q) in enumerate(segments):
-        y_stop = (segments[i + 1][0] if i + 1 < len(segments)
-                  else traj.y_end)
+        last = i + 1 == len(segments)
+        y_stop = traj.y_end if last else segments[i + 1][0]
         t_max = min(1.0, (y_stop - y0) / h)
-        if w0 >= w_target >= integrator._quartic(w0, h, q[:4], t_max):
+        w1 = integrator._quartic(w0, h, q[:4], t_max)
+        if last:
+            w1 = min(w1, traj._w_end)
+        if w0 >= w_target >= w1:
             t = integrator._bisect_theta(w0, h, q[:4], w_target, t_max)
             a = math.exp(integrator._quartic(w0, h, q[:4], t))
             return y0 + t * h, a, a * integrator._quartic(p0, h, q[4:], t)
@@ -209,14 +213,12 @@ def test_find_alpha_matches_segment_scan(reaction):
     for level in levels:
         hit = traj.find_alpha(level)
         assert hit == _find_alpha_by_scan(traj, level)
-        # the event's own level may end a rounding short on the interpolant
-        assert hit is not None or level == 0.05
+        assert hit is not None
     # the overrun past the event, above the start, and levels <= 0
     for level in (math.sqrt(overrun * 0.05), 0.01, 1.5, 0.0, -1.0):
         assert traj.find_alpha(level) is None
         assert _find_alpha_by_scan(traj, level) is None
-    _, empty = trace_until_alpha(cut, v, start, 0.05, dense=False)
-    assert empty.find_alpha(0.1) is None
+    assert Trajectory(0.0).find_alpha(0.1) is None
 
 
 def test_linear_zone_conserves_beta_plus_v_alpha():
@@ -237,12 +239,12 @@ def test_span_exceeded_when_path_turns():
     cut = make_cutoff(fisher(), 0.5)
     v = 1.0
     start = unstable_manifold_start(cut, v)
-    ev = integrate_until_alpha(cut, v, start, 0.5)
+    ev = trace_until_alpha(cut, v, start, 0.5)[0]
     stall_level = (ev.state.beta + v * 0.5) / v  # beta hits 0 here
     assert 0.0 < stall_level < 0.5
     with pytest.raises(SpanExceeded):
-        integrate_until_alpha(cut, v, start, stall_level / 2.0)
-    below = integrate_until_alpha(cut, v, start, 1.01 * stall_level)
+        trace_until_alpha(cut, v, start, stall_level / 2.0)[0]
+    below = trace_until_alpha(cut, v, start, 1.01 * stall_level)[0]
     assert below.state.alpha == pytest.approx(1.01 * stall_level, abs=1e-13)
 
 
@@ -252,8 +254,8 @@ def test_step_halving_convergence():
     betas = []
     for tol in (1e-12, 5e-13):
         control = IntegrationControl(abs_tol=tol, rel_tol=tol)
-        ev = integrate_until_alpha(cut, v, unstable_manifold_start(cut, v),
-                                   0.5, control)
+        ev = trace_until_alpha(cut, v, unstable_manifold_start(cut, v),
+                               0.5, control)[0]
         betas.append(ev.state.beta)
     assert abs(betas[0] - betas[1]) < 10.0 * 1e-12
 
@@ -266,8 +268,8 @@ def test_small_threshold_slope_ratio_independent_of_tolerance():
     ratios = []
     for tol in (1e-12, 1e-13):
         control = IntegrationControl(abs_tol=tol, rel_tol=tol)
-        ev = integrate_until_alpha(cut, v, unstable_manifold_start(cut, v),
-                                   1e-10, control)
+        ev = trace_until_alpha(cut, v, unstable_manifold_start(cut, v),
+                               1e-10, control)[0]
         ratios.append(ev.state.beta / ev.state.alpha + v)
     assert abs(ratios[0] - ratios[1]) < 1e-9
 
@@ -290,8 +292,8 @@ def test_oversized_trial_step_is_rejected():
     # a first step of 1 spans the nearby U = 0 crossing 1e3 times over;
     # its stages leave the float range and must count as a reject
     cut = make_cutoff(fisher(), 0.5)
-    ev = integrate_until_alpha(cut, 0.0, PhaseState(1e-3, -1.0), 1e-6,
-                               IntegrationControl(initial_step=1.0))
+    ev = trace_until_alpha(cut, 0.0, PhaseState(1e-3, -1.0), 1e-6,
+                           IntegrationControl(initial_step=1.0))[0]
     assert ev.state.beta == pytest.approx(-1.0, abs=1e-9)
     assert ev.n_rejects > 0
 
@@ -300,25 +302,15 @@ def test_zero_target_refused():
     cut = make_cutoff(fisher(), 0.5)
     start = unstable_manifold_start(cut, 1.0)
     with pytest.raises(ValueError):
-        integrate_until_alpha(cut, 1.0, start, 0.0)
+        trace_until_alpha(cut, 1.0, start, 0.0)[0]
     with pytest.raises(ValueError):
         trace_field_until_alpha(fisher().f, 2.0, start, 0.0)
 
 
-def test_record_only_shot_matches_dense_shot():
-    cut = make_cutoff(fisher(), 0.3)
-    start = unstable_manifold_start(cut, 0.8)
-    dense, path = trace_until_alpha(cut, 0.8, start, 0.3)
-    bare, empty = trace_until_alpha(cut, 0.8, start, 0.3, dense=False)
-    assert bare == dense
-    assert len(path) > 0 and len(empty) == 0
-    assert integrate_until_alpha(cut, 0.8, start, 0.3) == dense
-
-
 def test_step_counts_reported():
     cut = make_cutoff(fisher(), 0.5)
-    ev = integrate_until_alpha(cut, 0.3, unstable_manifold_start(cut, 0.3),
-                               0.5)
+    ev = trace_until_alpha(cut, 0.3, unstable_manifold_start(cut, 0.3),
+                           0.5)[0]
     assert ev.n_steps > 50
     assert ev.n_rejects >= 0
 
@@ -333,7 +325,7 @@ def test_step_failure_on_non_finite_rate():
                         fdoubleprime_at_1=-2.0, sup_f=lambda u_c: 0.25)
     cut = make_cutoff(spec, 0.5)
     with pytest.raises(StepFailure):
-        integrate_until_alpha(cut, 0.3, PhaseState(1.0 - 1e-10, -1e-10), 0.5)
+        trace_until_alpha(cut, 0.3, PhaseState(1.0 - 1e-10, -1e-10), 0.5)[0]
 
 
 def test_control_validation():
@@ -360,7 +352,7 @@ def test_slope_shot_matches_y_shot(name, u_c, dv):
     v = NEAR_SPEEDS[name, u_c] + dv
     start = unstable_manifold_start(cut, v)
     p, n_steps, _ = shoot_slope(cut, v, start)
-    ref = integrate_until_alpha(cut, v, start, u_c).log_slope
+    ref = trace_until_alpha(cut, v, start, u_c)[0].log_slope
     # p + v is only 1e-3 to 0.3 here, and each shot errs by a few 1e-12 at
     # tolerance 1e-12, so p + v is compared relative to p, the quantity
     # both error controls scale with

@@ -140,6 +140,18 @@ def test_only_final_shot_keeps_path(monkeypatch):
     assert not any(kept[:-1])
 
 
+@pytest.mark.parametrize("name,u_c", [("fisher", 0.3), ("fisher", 1e-3),
+                                      ("cubic", 0.5), ("cubic", 0.3),
+                                      ("cubic", 1e-3)])
+def test_find_alpha_meets_the_traced_threshold(name, u_c):
+    # the dense shot's last segment is cut at the threshold, where its
+    # interpolant ends a rounding above ln u_c at these thresholds
+    sol = solve_speed(make_cutoff(by_name(name), u_c))
+    y, a, _ = sol.trajectory.find_alpha(u_c)
+    assert abs(y - sol.y_event) <= 1e-9
+    assert a == pytest.approx(u_c, rel=1e-13, abs=0.0)
+
+
 def test_solution_contract(fisher_half):
     sol = fisher_half
     lo, hi = sol.bracket
@@ -265,8 +277,10 @@ def _run_brent(f, lo, hi, max_iter=200):
         calls.append(x)
         return f(x)
 
-    lo, hi, n = solver._brent(counted, lo, hi, f(lo), f(hi), max_iter)
+    lo, hi, f_lo, f_hi, n = solver._brent(counted, lo, hi, f(lo), f(hi),
+                                          max_iter)
     assert n == len(calls)
+    assert (f_lo, f_hi) == (f(lo), f(hi))
     return lo, hi, n, calls
 
 
@@ -370,41 +384,64 @@ def test_sweep_rejects_bad_order(fisher_spec):
 
 def test_sweep_row_is_one_speed_only_solve(monkeypatch):
     # a caller that wraps solver.solve_speed sees each sweep row as one
-    # call, and the row's final shot stores no path
-    calls, dense = [], []
+    # call, and no row steps in y: the residual comes from the bracket
+    calls, traced = [], []
     solve, trace = solver.solve_speed, solver.trace_until_alpha
 
     def counted(cutoff, *args, **kwargs):
         calls.append(cutoff.u_c)
         return solve(cutoff, *args, **kwargs)
 
-    def traced(*args, **kwargs):
-        dense.append(kwargs.get("dense", True))
+    def tracing(*args, **kwargs):
+        traced.append(args[1])
         return trace(*args, **kwargs)
 
     monkeypatch.setattr(solver, "solve_speed", counted)
-    monkeypatch.setattr(solver, "trace_until_alpha", traced)
+    monkeypatch.setattr(solver, "trace_until_alpha", tracing)
     values = [0.9, 0.5, 0.1, 1e-3, 1e-6]
     curve = sweep(fisher(), values)
     assert not curve.failures
     assert calls == values
-    assert dense == [False] * len(values)
+    assert traced == []
     assert all(type(row) is SpeedPoint for row in curve.rows)
 
     # called as before, solve_speed still builds the whole solution
     cut = make_cutoff(fisher(), 0.1)
     sol = solver.solve_speed(cut)
-    assert dense[-1] is True
+    assert traced == [sol.v_star]
     assert len(sol.trajectory) > 0
     assert sol.profile.y.size == sol.profile.u.size == 1201
     assert sol.y_half < 0.0 and sol.trajectory.find_alpha(0.5) is not None
     assert solver.solve_speed(cut, speed_only=True) == SpeedPoint(
         sol.u_c, sol.v_star, sol.residual, sol.n_iterations, sol.bracket)
+    assert traced == [sol.v_star]
 
 
 ACCEPTANCE_GRID = sorted((float(u) for u in
                           np.logspace(-10.0, math.log10(0.99), 60)),
                          reverse=True)
+
+
+@pytest.mark.parametrize("reaction", [fisher, cubic_kpp])
+def test_residual_is_worse_bracket_end(reaction):
+    # r rises through zero across the final bracket, so the end further
+    # from zero bounds r(v*); an exact zero (lo == hi) reports 0
+    spec = reaction()
+    curve = sweep(spec, ACCEPTANCE_GRID)
+    assert not curve.failures
+    for row in curve.rows:
+        assert abs(row.residual) <= ShootingConfig().residual_tol
+        lo, hi = row.bracket
+        if lo == hi:
+            assert row.residual == 0.0
+            continue
+        cut = make_cutoff(spec, row.u_c)
+        r_lo, r_hi = (
+            cut.u_c * (shoot_slope(cut, v, unstable_manifold_start(cut, v))[0]
+                       + v) for v in (lo, hi))
+        assert r_lo < 0.0 <= r_hi
+        worse = r_lo if abs(r_lo) > abs(r_hi) else r_hi
+        assert row.residual == pytest.approx(worse, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("reaction", [fisher, cubic_kpp])
@@ -464,8 +501,8 @@ def _spy_controls(monkeypatch):
     trace, slope = solver.trace_until_alpha, solver.shoot_slope
     shots = []
 
-    def trace_spy(cutoff, v, start, level, control, dense=False):
-        record, path = trace(cutoff, v, start, level, control, dense=dense)
+    def trace_spy(cutoff, v, start, level, control):
+        record, path = trace(cutoff, v, start, level, control)
         shots.append((control, len(path)))
         return record, path
 

@@ -2,8 +2,11 @@
 
 The values below were recorded with the step loops written with the
 builtins ``max``, ``min`` and ``abs``; the loops now use conditional
-expressions instead, which must leave every bit unchanged.  Floats are
-compared through ``float.hex``.
+expressions instead, which must leave every bit unchanged.  The speed
+brackets were recorded when a speed-only solve still ended with a
+``y``-shot at v*, and the residuals with the rule that replaced it (the
+bracket end further from zero).  Floats are compared through
+``float.hex``.
 """
 
 import ast
@@ -29,6 +32,34 @@ SPEEDS = {
     ("cubic", 0.001): "0x1.dad85e8f54c03p+0",
     ("cubic", 1e-10): "0x1.fb9e2ae026f34p+0",
     ("cubic", 1e-300): "0x1.fffea5d0b98a8p+0",
+}
+
+#: (lo, hi) of the final speed bracket and the residual, per (reaction, u_c)
+BRACKETS = {
+    ("fisher", 0.5): (
+        "0x1.1eba1cfa7a361p-1", "0x1.1eba1cfa7a390p-1",
+        "-0x1.0000000000000p-48"),
+    ("fisher", 0.001): (
+        "0x1.ce9d2ce69a9d7p+0", "0x1.ce9d2ce69a9f1p+0",
+        "-0x1.1cac083126e98p-54"),
+    ("fisher", 1e-10): (
+        "0x1.faf146b672766p+0", "0x1.faf146b672780p+0",
+        "-0x1.9c1a2403f06e8p-73"),
+    ("fisher", 1e-300): (
+        "0x1.fffea4089d024p+0", "0x1.fffea4089d03fp+0",
+        "-0x1.1959fd4c31a81p-1021"),
+    ("cubic", 0.5): (
+        "0x1.6fde39a0fc32ep-1", "0x1.6fde39a0fc32ep-1",
+        "0x0.0p+0"),
+    ("cubic", 0.001): (
+        "0x1.dad85e8f54bf6p+0", "0x1.dad85e8f54c10p+0",
+        "-0x1.947ae147ae148p-54"),
+    ("cubic", 1e-10): (
+        "0x1.fb9e2ae026f27p+0", "0x1.fb9e2ae026f41p+0",
+        "0x1.f1926c0d4b407p-73"),
+    ("cubic", 1e-300): (
+        "0x1.fffea5d0b989bp+0", "0x1.fffea5d0b98b6p+0",
+        "0x1.1d6fa947835b3p-1021"),
 }
 
 # (reaction, u_c, tol) -> (p.hex(), steps, rejects) at v* + 1e-8,
@@ -186,6 +217,7 @@ def _hex(*values):
 def test_speed_bits(name, u_c):
     point = solve_speed(make_cutoff(by_name(name), u_c), speed_only=True)
     assert point.v_star.hex() == SPEEDS[name, u_c]
+    assert _hex(*point.bracket, point.residual) == BRACKETS[name, u_c]
 
 
 @pytest.mark.parametrize("name,u_c,tol", list(SLOPE_SHOTS))
@@ -217,8 +249,6 @@ def test_y_shot_bits(name, u_c, v):
     record, traj = trace_until_alpha(cut, v, start, u_c)
     assert _record_bits(record) == fields
     assert _sample_bits(traj) == samples
-    record, traj = trace_until_alpha(cut, v, start, u_c, dense=False)
-    assert _record_bits(record) == fields and len(traj) == 0
 
 
 def test_non_finite_reject_bits():
@@ -273,8 +303,7 @@ def test_clamped_y_shot_bits(case, expected):
     name, u_c, v = case
     cut = make_cutoff(by_name(name), u_c)
     record, _ = trace_until_alpha(cut, v, unstable_manifold_start(cut, v),
-                                  u_c, IntegrationControl(initial_step=1e-12),
-                                  dense=False)
+                                  u_c, IntegrationControl(initial_step=1e-12))
     assert _record_bits(record) == expected
 
 
