@@ -46,7 +46,11 @@ same error rule.  Its last step lands exactly on t = -ln u_c, so it needs
 no event search, no y and no segments.  The saddle, which the y-stepper
 leaves only at an exponential pace, is linear in t (p ~ -lambda_plus*t),
 and where |p + v| has grown far past the rate term the remaining leg is
-finished in closed form.
+finished in closed form.  The rate term f(e^-t)/e^-t does not depend on
+v, so shots at nearby speeds can share one ``StepGrid``: the first shot
+records its accepted step sizes and stage rates, and the others replay
+them under the same error test with no exp or reaction call, stepping
+adaptively only from the first step that fails.
 """
 
 from __future__ import annotations
@@ -496,9 +500,30 @@ def trace_until_alpha(cutoff: CutoffReaction, v: float, start: PhaseState,
     return run.record(), run.trajectory
 
 
+class StepGrid:
+    """The accepted steps of one slope shot, for later shots to replay.
+
+    ``steps`` holds (h, g2, g3, g4, g5, g6) per accepted step, g_s =
+    f(U)/U at the step's stage node s (the seventh stage reuses g6, as
+    c7 = 1).  The rate term does not depend on v, so a shot at another
+    speed from the same start to the same threshold re-runs these steps
+    with no exp, no reaction call and no step-size control (see
+    ``shoot_slope``).  ``span`` is the (t_start, t_end) it was recorded
+    on, and ``lands`` tells whether its last step lands on t_end; a
+    recording that ends in the closed-form tail, or turns, does not.
+    """
+
+    __slots__ = ("span", "steps", "lands")
+
+    def __init__(self) -> None:
+        self.span: tuple[float, float] | None = None
+        self.steps: list[tuple] = []
+        self.lands = False
+
+
 def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
-                control: IntegrationControl | None = None,
-                ) -> tuple[float, int, int]:
+                control: IntegrationControl | None = None, *,
+                grid: StepGrid | None = None) -> tuple[float, int, int]:
     """U'/U where the path from ``start`` first reaches U = u_c.
 
     A record-only shot against t = -ln U instead of y: while U falls,
@@ -511,6 +536,15 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
     A stage with p >= 0 (U has stopped falling) is rejected; a path that
     turns therefore ends in step-size underflow, raised as SpanExceeded,
     or as StepFailure when the last trial step went non-finite.
+
+    An empty ``grid`` records this shot's accepted steps.  A filled one
+    is replayed first: its steps are taken in order, t summed as when
+    they were recorded, under the same stage arithmetic, p < 0 rule,
+    error test and closed-form tail test, at the cost of the stage
+    arithmetic alone.  The first step that fails hands over to the
+    adaptive loop, which retries it; so does the end of a grid that stops
+    short of t_end.  Steps after a handover are not recorded.  A grid
+    recorded from another start or threshold raises ValueError.
     """
     if control is None:
         control = IntegrationControl()
@@ -531,6 +565,52 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
     n_steps = n_rejects = 0
     dp = p + v + f(a) / a / p
     err = 0.0
+    record = None
+    if grid is not None and not grid.steps:
+        grid.span, record = (t, t_end), grid.steps
+    elif grid is not None:
+        if grid.span != (t, t_end):
+            raise ValueError("the step grid was recorded from another start "
+                             "or to another threshold")
+        # the recorded steps, in the loop below's arithmetic; every exit
+        # but the landing step falls through to that loop
+        for h, g2, g3, g4, g5, g6 in grid.steps:
+            q = p + v
+            if q * q * rtol > 1.0:
+                break  # the loop below finishes in closed form
+            try:
+                p2 = p + h * (_A21 * dp)
+                dp2 = p2 + v + g2 / p2
+                p3 = p + h * (_A31 * dp + _A32 * dp2)
+                dp3 = p3 + v + g3 / p3
+                p4 = p + h * (_A41 * dp + _A42 * dp2 + _A43 * dp3)
+                dp4 = p4 + v + g4 / p4
+                p5 = p + h * (_A51 * dp + _A52 * dp2 + _A53 * dp3
+                              + _A54 * dp4)
+                dp5 = p5 + v + g5 / p5
+                p6 = p + h * (_A61 * dp + _A62 * dp2 + _A63 * dp3
+                              + _A64 * dp4 + _A65 * dp5)
+                dp6 = p6 + v + g6 / p6
+                p_new = p + h * (_B1 * dp + _B3 * dp3 + _B4 * dp4
+                                 + _B5 * dp5 + _B6 * dp6)
+                dp7 = p_new + v + g6 / p_new
+            except ZeroDivisionError:
+                break
+            if not (p2 < 0.0 and p3 < 0.0 and p4 < 0.0 and p5 < 0.0
+                    and p6 < 0.0 and p_new < 0.0):
+                break
+            err = h * (_E1 * dp + _E3 * dp3 + _E4 * dp4 + _E5 * dp5
+                       + _E6 * dp6 + _E7 * dp7)
+            err = (err if err > 0.0 else -err) / (
+                atol + rtol * -(p if p < p_new else p_new))
+            if not err <= 1.0:
+                break  # the loop below rejects this step as well
+            n_steps += 1
+            t += h
+            p, dp = p_new, dp7
+        else:
+            if grid.lands:
+                return p, n_steps, n_rejects
     while True:
         q = p + v
         if q * q * rtol > 1.0:
@@ -551,19 +631,19 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
         w = -t  # ln U at the step's start
         try:
             p2 = p + h * (_A21 * dp)
-            u = exp(w - _C2 * h); dp2 = p2 + v + f(u) / u / p2
+            u = exp(w - _C2 * h); g2 = f(u) / u; dp2 = p2 + v + g2 / p2
             p3 = p + h * (_A31 * dp + _A32 * dp2)
-            u = exp(w - _C3 * h); dp3 = p3 + v + f(u) / u / p3
+            u = exp(w - _C3 * h); g3 = f(u) / u; dp3 = p3 + v + g3 / p3
             p4 = p + h * (_A41 * dp + _A42 * dp2 + _A43 * dp3)
-            u = exp(w - _C4 * h); dp4 = p4 + v + f(u) / u / p4
+            u = exp(w - _C4 * h); g4 = f(u) / u; dp4 = p4 + v + g4 / p4
             p5 = p + h * (_A51 * dp + _A52 * dp2 + _A53 * dp3 + _A54 * dp4)
-            u = exp(w - _C5 * h); dp5 = p5 + v + f(u) / u / p5
+            u = exp(w - _C5 * h); g5 = f(u) / u; dp5 = p5 + v + g5 / p5
             p6 = p + h * (_A61 * dp + _A62 * dp2 + _A63 * dp3 + _A64 * dp4
                           + _A65 * dp5)
-            u = exp(w - h); dp6 = p6 + v + f(u) / u / p6
+            u = exp(w - h); g6 = f(u) / u; dp6 = p6 + v + g6 / p6
             p_new = p + h * (_B1 * dp + _B3 * dp3 + _B4 * dp4 + _B5 * dp5
                              + _B6 * dp6)
-            dp7 = p_new + v + f(u) / u / p_new
+            dp7 = p_new + v + g6 / p_new
         except (OverflowError, ZeroDivisionError):
             err = math.inf
         else:
@@ -585,6 +665,9 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
             h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             continue
         n_steps += 1
+        if record is not None:
+            record.append((h, g2, g3, g4, g5, g6))
+            grid.lands = last
         if last:
             return p_new, n_steps, n_rejects
         t += h

@@ -29,11 +29,16 @@ around stage 1's midpoint at the caller's tolerance (widening it when a
 sign disagrees) and collapses it to a width floor near machine
 precision, so the speed does not depend on the stage-1 tolerance.
 Stage 1 is skipped when the caller's tolerance is already that loose.
+Each stage's first shot records a ``StepGrid`` that its later shots
+replay (see ``shoot_slope``): within a stage the search value is then
+one function of v, and a shot costs its stage arithmetic alone until a
+step fails the error test.  A cold search below u_c = 1e-3 opens at the
+paper's two-term speed 2 - pi^2/(ln u_c)^2 instead of [0, 2].
 The residual criterion is then checked at the final midpoint: stopping
 on r alone cannot pin the speed for small u_c, since r carries the
 factor u_c.  r changes sign across stage 2's final bracket, whose ends
-were shot at the caller's tolerance, so the end further from zero bounds
-r(v*) with no shot at v*.  Only a full solve steps in y, with
+were shot at the caller's tolerance on one grid, so the end further from
+zero bounds r(v*) with no shot at v*.  Only a full solve steps in y, with
 ``trace_until_alpha``, for the dense path of its profile.
 ``sweep`` seeds each row's bracket by a secant through the last two
 speeds in ln u_c, padded by a multiple of the last prediction's miss.
@@ -50,7 +55,7 @@ import numpy as np
 
 from .errors import (InsufficientTail, MaxIterations, NoSignChange,
                      SpanExceeded, CutoffWaveError)
-from .integrator import (IntegrationControl, Trajectory, exp_each,
+from .integrator import (IntegrationControl, StepGrid, Trajectory, exp_each,
                          shoot_slope, trace_until_alpha,
                          unstable_manifold_start)
 from .reaction import (CutoffReaction, ReactionSpec, lambda_plus,
@@ -89,6 +94,13 @@ _BISECTION_SLACK = 8
 #: the bracket's top: the paper's v*(u_c) < 2, the KPP bound 2*sqrt(f'(0))
 #: of a normalised reaction
 _SPEED_CAP = 2.0
+
+#: below this threshold a solve with no guess seeds its bracket at the
+#: paper's two-term speed 2 - pi^2/L^2 (L = ln u_c), padded by
+#: _SEED_PAD/|L|^3: the three-term correction it leaves out is about
+#: 5-20/|L|^3, and the widening covers a larger miss
+_SEED_BELOW = 1e-3
+_SEED_PAD = 40.0
 
 
 @dataclass(frozen=True)
@@ -169,21 +181,22 @@ def _check_start(cutoff: CutoffReaction, config: ShootingConfig) -> None:
             "shot starts; use a smaller --epsilon-manifold")
 
 
-def _gap(cutoff: CutoffReaction, v: float,
-         config: ShootingConfig) -> float | None:
-    """p + v at the threshold from a slope shot, or None when it turns."""
+def _gap(cutoff: CutoffReaction, v: float, config: ShootingConfig,
+         grid: StepGrid | None = None) -> float | None:
+    """p + v at the threshold from a slope shot (on ``grid`` if given),
+    or None when it turns."""
     start = unstable_manifold_start(cutoff, v, config.epsilon_manifold)
     try:
-        p, _, _ = shoot_slope(cutoff, v, start, config.control)
+        p, _, _ = shoot_slope(cutoff, v, start, config.control, grid=grid)
     except SpanExceeded:
         return None
     return p + v
 
 
-def _search_value(cutoff: CutoffReaction, v: float,
-                  config: ShootingConfig) -> float:
+def _search_value(cutoff: CutoffReaction, v: float, config: ShootingConfig,
+                  grid: StepGrid | None = None) -> float:
     """atan(p + v), r's sign kept O(1), or TURNED_SENTINEL."""
-    gap = _gap(cutoff, v, config)
+    gap = _gap(cutoff, v, config, grid)
     return TURNED_SENTINEL if gap is None else math.atan(gap)
 
 
@@ -294,14 +307,16 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
                 ) -> WaveSolution | SpeedPoint:
     """Find the unique wave speed v*(u_c) by a two-stage Brent search.
 
-    A guess seeds a bracket of half-width ``pad`` (no guess:
+    A guess seeds a bracket of half-width ``pad`` (no guess: 2 - pi^2/L^2
+    +- 40/|L|^3, L = ln u_c, below u_c = 1e-3, else
     [0, min(2, v_upper_bound)]) that is widened geometrically, clipped
     to [0, min(2, v_upper_bound)], until the residual changes sign
     across it.  Stage 1 collapses it to about ``_FINE_HALF_WIDTH`` with
     shots at ``config.control`` relaxed to ``_COARSE_TOL``; stage 2
     opens +-``_FINE_HALF_WIDTH`` around its midpoint at
     ``config.control``, widens it the same way and collapses it to
-    ``_BRACKET_WIDTH_FLOOR``.  ``v_star`` is the midpoint of stage 2's
+    ``_BRACKET_WIDTH_FLOOR``.  A stage's shots replay the step grid of
+    its first shot.  ``v_star`` is the midpoint of stage 2's
     bracket.  ``residual`` is u_c*(p + v) at the end of that bracket
     further from zero, which bounds r(v*); 0 on an exact zero (lo == hi).
     ``n_iterations`` counts every search shot but the two opening bracket
@@ -327,16 +342,21 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     def collapse(lo: float, hi: float, control: IntegrationControl,
                  floor: float) -> tuple[float, float, float, float]:
         stage_config = replace(config, control=control)
+        grid = StepGrid()  # recorded by the stage's first shot
 
         def f(v: float) -> float:
             nonlocal shots
             shots += 1
-            return _search_value(cutoff, v, stage_config)
+            return _search_value(cutoff, v, stage_config, grid)
 
         lo, hi, r_lo, r_hi = _widen(f, lo, hi, vub, cutoff.u_c)
         return _brent(f, lo, hi, r_lo, r_hi,
                       config.max_bisections - (shots - 2), floor)[:4]
 
+    if guess is None and cutoff.u_c < _SEED_BELOW:
+        log_uc = math.log(cutoff.u_c)
+        guess = 2.0 - math.pi ** 2 / log_uc ** 2
+        pad = _SEED_PAD / -log_uc ** 3
     if guess is None:
         lo, hi = 0.0, vub
     else:

@@ -10,7 +10,7 @@ from cutoffwave import (IntegrationControl, PhaseState, ReactionSpec,
                         trace_field_until_alpha, trace_until_alpha,
                         unstable_manifold_start)
 from cutoffwave import integrator
-from cutoffwave.integrator import shoot_slope
+from cutoffwave.integrator import StepGrid, shoot_slope
 
 
 def fisher_energy(alpha, u_c):
@@ -403,3 +403,81 @@ def test_slope_shot_step_failure_on_non_finite_rate():
     cut = make_cutoff(spec, 0.5)
     with pytest.raises(StepFailure):
         shoot_slope(cut, 0.3, unstable_manifold_start(cut, 0.3))
+
+
+def _slope(cut, v, control=None, grid=None):
+    return shoot_slope(cut, v, unstable_manifold_start(cut, v), control,
+                       grid=grid)
+
+
+@pytest.mark.parametrize("name,u_c", sorted(NEAR_SPEEDS))
+def test_step_grid_replays_its_own_shot(name, u_c):
+    # recording changes nothing; a replay at the same speed re-runs every
+    # recorded step, with no reject, and leaves the grid as it was
+    cut = make_cutoff(by_name(name), u_c)
+    v = NEAR_SPEEDS[name, u_c]
+    grid = StepGrid()
+    p, steps, rejects = _slope(cut, v, grid=grid)
+    assert (p, steps, rejects) == _slope(cut, v)
+    assert len(grid.steps) == steps and grid.lands
+    recorded = (grid.span, list(grid.steps))
+    replayed = _slope(cut, v, grid=grid)
+    assert replayed[0].hex() == p.hex() and replayed[1:] == (steps, 0)
+    assert (grid.span, grid.steps) == recorded
+    # a nearby speed keeps every step and lies where a fresh shot does
+    for dv in (-1e-8, 1e-8):
+        q, q_steps, q_rejects = _slope(cut, v + dv, grid=grid)
+        assert (q_steps, q_rejects) == (steps, 0)
+        assert abs(q - _slope(cut, v + dv)[0]) <= 1e-10
+
+
+@pytest.mark.parametrize("name,u_c", [("fisher", 1e-3), ("cubic", 1e-10)])
+def test_step_grid_hands_over_to_adaptive_steps(name, u_c):
+    cut = make_cutoff(by_name(name), u_c)
+    v = NEAR_SPEEDS[name, u_c]
+    # steps recorded at tolerance 1e-8 fail the test at 1e-12: the shot
+    # goes on adaptively from the first that fails
+    loose = StepGrid()
+    _slope(cut, v, IntegrationControl(1e-8, 1e-8), grid=loose)
+    p, steps, _ = _slope(cut, v, grid=loose)
+    assert steps > len(loose.steps)
+    assert abs(p - _slope(cut, v)[0]) <= 1e-10 * abs(p)
+
+
+@pytest.mark.parametrize("name", ["fisher", "cubic"])
+def test_step_grid_of_a_tail_shot(name):
+    # the v = 0 shot ends in the closed-form tail, so its grid stops short
+    # of the threshold; a replay at v* finishes the leg adaptively
+    cut = make_cutoff(by_name(name), 1e-10)
+    v = NEAR_SPEEDS[name, 1e-10]
+    rest = StepGrid()
+    p0, steps0, _ = _slope(cut, 0.0, grid=rest)
+    assert not rest.lands and len(rest.steps) == steps0 - 1
+    assert _slope(cut, 0.0, grid=rest)[:2] == (p0, steps0)
+    p = _slope(cut, v, grid=rest)[0]
+    assert abs(p - _slope(cut, v)[0]) <= 1e-10 * abs(p)
+
+
+def test_step_grid_shot_that_turns():
+    def valley(u):
+        return u * (1.0 - u) * (u - 0.25) * (u - 0.85)
+
+    spec = ReactionSpec(name="valley", f=valley, fprime_at_1=-0.1125,
+                        fdoubleprime_at_1=0.0, sup_f=lambda u_c: 0.05)
+    cut = make_cutoff(spec, 0.2)
+    grid = StepGrid()
+    for v in (0.0, 0.0, 0.5):  # records, then replays
+        with pytest.raises(SpanExceeded):
+            _slope(cut, v, grid=grid)
+    assert grid.steps and not grid.lands
+
+
+def test_step_grid_belongs_to_one_threshold_and_start():
+    cut = make_cutoff(fisher(), 0.5)
+    grid = StepGrid()
+    _slope(cut, 0.56, grid=grid)
+    with pytest.raises(ValueError):
+        _slope(make_cutoff(fisher(), 0.4), 0.56, grid=grid)
+    with pytest.raises(ValueError):
+        shoot_slope(cut, 0.56, unstable_manifold_start(cut, 0.56, 1e-9),
+                    grid=grid)

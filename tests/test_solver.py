@@ -423,25 +423,40 @@ ACCEPTANCE_GRID = sorted((float(u) for u in
 
 
 @pytest.mark.parametrize("reaction", [fisher, cubic_kpp])
-def test_residual_is_worse_bracket_end(reaction):
+def test_residual_is_worse_bracket_end(monkeypatch, reaction):
     # r rises through zero across the final bracket, so the end further
-    # from zero bounds r(v*); an exact zero (lo == hi) reports 0
+    # from zero bounds r(v*); an exact zero (lo == hi) reports 0.  Each
+    # stage shoots on one step grid, so both ends were shot on stage 2's
+    # (each row's last), which gives the same value whenever replayed
+    grids = {}
+    slope = solver.shoot_slope
+
+    def spy(cutoff, v, start, control, grid=None):
+        grids.setdefault(cutoff.u_c, []).append(grid)
+        return slope(cutoff, v, start, control, grid=grid)
+
+    monkeypatch.setattr(solver, "shoot_slope", spy)
     spec = reaction()
     curve = sweep(spec, ACCEPTANCE_GRID)
     assert not curve.failures
     for row in curve.rows:
         assert abs(row.residual) <= ShootingConfig().residual_tol
+        assert len({id(grid) for grid in grids[row.u_c]}) == 2
         lo, hi = row.bracket
         if lo == hi:
             assert row.residual == 0.0
             continue
         cut = make_cutoff(spec, row.u_c)
         r_lo, r_hi = (
-            cut.u_c * (shoot_slope(cut, v, unstable_manifold_start(cut, v))[0]
-                       + v) for v in (lo, hi))
+            cut.u_c * math.tan(math.atan(shoot_slope(
+                cut, v, unstable_manifold_start(cut, v),
+                grid=grids[row.u_c][-1])[0] + v)) for v in (lo, hi))
         assert r_lo < 0.0 <= r_hi
         worse = r_lo if abs(r_lo) > abs(r_hi) else r_hi
-        assert row.residual == pytest.approx(worse, rel=1e-12, abs=0.0)
+        assert row.residual == worse
+        for v, r in ((lo, r_lo), (hi, r_hi)):
+            fresh = shoot_slope(cut, v, unstable_manifold_start(cut, v))[0]
+            assert abs(cut.u_c * (fresh + v) - r) <= cut.u_c * 1e-10
 
 
 @pytest.mark.parametrize("reaction", [fisher, cubic_kpp])
@@ -506,9 +521,9 @@ def _spy_controls(monkeypatch):
         shots.append((control, len(path)))
         return record, path
 
-    def slope_spy(cutoff, v, start, control):
+    def slope_spy(cutoff, v, start, control, grid=None):
         shots.append((control, 0))
-        return slope(cutoff, v, start, control)
+        return slope(cutoff, v, start, control, grid=grid)
 
     monkeypatch.setattr(solver, "trace_until_alpha", trace_spy)
     monkeypatch.setattr(solver, "shoot_slope", slope_spy)
@@ -589,6 +604,16 @@ COLD_SPEEDS = {
 def test_cold_speed_unchanged_by_coarse_stage(name, u_c):
     sol = solve_speed(make_cutoff(by_name(name), u_c))
     assert abs(sol.v_star - COLD_SPEEDS[name, u_c]) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["fisher", "cubic"])
+@pytest.mark.parametrize("u_c", [1e-10, 1e-50, 1e-300])
+def test_cold_bracket_seeded_by_two_term_speed(name, u_c):
+    # with no guess a small threshold opens at 2 - pi^2/L^2 +- 40/|L|^3,
+    # not on [0, 2]: 17-30 search shots without the seed
+    point = solve_speed(make_cutoff(by_name(name), u_c), speed_only=True)
+    assert point.n_iterations <= 13
+    assert abs(point.v_star - COLD_SPEEDS[name, u_c]) <= 1e-13
 
 
 def test_turned_shot_forces_bisection():

@@ -5,7 +5,10 @@ builtins ``max``, ``min`` and ``abs``; the loops now use conditional
 expressions instead, which must leave every bit unchanged.  The speed
 brackets were recorded when a speed-only solve still ended with a
 ``y``-shot at v*, and the residuals with the rule that replaced it (the
-bracket end further from zero).  Floats are compared through
+bracket end further from zero).  Speeds, brackets and residuals were
+recorded again once each search stage replayed its first shot's step
+grid, which moved speeds by at most 5.8e-15; the slope shots are still
+taken around the speeds found before.  Floats are compared through
 ``float.hex``.
 """
 
@@ -22,7 +25,8 @@ from cutoffwave import (IntegrationControl, PhaseState, by_name, fisher,
 from cutoffwave import integrator
 from cutoffwave.integrator import shoot_slope
 
-#: v*(u_c) of the default solve, per (reaction, u_c)
+#: v*(u_c) of the default solve before each search stage replayed a step
+#: grid, per (reaction, u_c): the slope shots below are taken around them
 SPEEDS = {
     ("fisher", 0.5): "0x1.1eba1cfa7a378p-1",
     ("fisher", 0.001): "0x1.ce9d2ce69a9e4p+0",
@@ -34,32 +38,41 @@ SPEEDS = {
     ("cubic", 1e-300): "0x1.fffea5d0b98a8p+0",
 }
 
-#: (lo, hi) of the final speed bracket and the residual, per (reaction, u_c)
-BRACKETS = {
+#: v*(u_c) of the default solve, (lo, hi) of its final speed bracket and
+#: the residual, per (reaction, u_c)
+SOLVE_BITS = {
     ("fisher", 0.5): (
-        "0x1.1eba1cfa7a361p-1", "0x1.1eba1cfa7a390p-1",
-        "-0x1.0000000000000p-48"),
+        "0x1.1eba1cfa7a378p-1",
+        "0x1.1eba1cfa7a360p-1", "0x1.1eba1cfa7a38fp-1",
+        "-0x1.0400000000000p-48"),
     ("fisher", 0.001): (
-        "0x1.ce9d2ce69a9d7p+0", "0x1.ce9d2ce69a9f1p+0",
-        "-0x1.1cac083126e98p-54"),
+        "0x1.ce9d2ce69a9e5p+0",
+        "0x1.ce9d2ce69a9d8p+0", "0x1.ce9d2ce69a9f2p+0",
+        "-0x1.22d0e56041894p-54"),
     ("fisher", 1e-10): (
-        "0x1.faf146b672766p+0", "0x1.faf146b672780p+0",
-        "-0x1.9c1a2403f06e8p-73"),
+        "0x1.faf146b67278cp+0",
+        "0x1.faf146b67277fp+0", "0x1.faf146b672799p+0",
+        "0x1.8dedc0979d30ap-73"),
     ("fisher", 1e-300): (
+        "0x1.fffea4089d032p+0",
         "0x1.fffea4089d024p+0", "0x1.fffea4089d03fp+0",
-        "-0x1.1959fd4c31a81p-1021"),
+        "-0x1.1a77bb593d2fdp-1021"),
     ("cubic", 0.5): (
-        "0x1.6fde39a0fc32ep-1", "0x1.6fde39a0fc32ep-1",
-        "0x0.0p+0"),
+        "0x1.6fde39a0fc346p-1",
+        "0x1.6fde39a0fc32ep-1", "0x1.6fde39a0fc35ep-1",
+        "0x1.0400000000000p-48"),
     ("cubic", 0.001): (
+        "0x1.dad85e8f54c03p+0",
         "0x1.dad85e8f54bf6p+0", "0x1.dad85e8f54c10p+0",
-        "-0x1.947ae147ae148p-54"),
+        "-0x1.a1cac083126eap-54"),
     ("cubic", 1e-10): (
-        "0x1.fb9e2ae026f27p+0", "0x1.fb9e2ae026f41p+0",
-        "0x1.f1926c0d4b407p-73"),
+        "0x1.fb9e2ae026f1ap+0",
+        "0x1.fb9e2ae026f0dp+0", "0x1.fb9e2ae026f27p+0",
+        "-0x1.f13ff56dbdb93p-73"),
     ("cubic", 1e-300): (
+        "0x1.fffea5d0b98a8p+0",
         "0x1.fffea5d0b989bp+0", "0x1.fffea5d0b98b6p+0",
-        "0x1.1d6fa947835b3p-1021"),
+        "0x1.1cf7476fa64c5p-1021"),
 }
 
 # (reaction, u_c, tol) -> (p.hex(), steps, rejects) at v* + 1e-8,
@@ -213,11 +226,11 @@ def _hex(*values):
     return tuple(float.hex(x) for x in values)
 
 
-@pytest.mark.parametrize("name,u_c", list(SPEEDS))
+@pytest.mark.parametrize("name,u_c", list(SOLVE_BITS))
 def test_speed_bits(name, u_c):
     point = solve_speed(make_cutoff(by_name(name), u_c), speed_only=True)
-    assert point.v_star.hex() == SPEEDS[name, u_c]
-    assert _hex(*point.bracket, point.residual) == BRACKETS[name, u_c]
+    assert _hex(point.v_star, *point.bracket,
+                point.residual) == SOLVE_BITS[name, u_c]
 
 
 @pytest.mark.parametrize("name,u_c,tol", list(SLOPE_SHOTS))
@@ -313,7 +326,8 @@ def test_step_loops_call_no_builtins(fn):
     """Each step is a few dozen float operations, so a builtin call per
     step is a measurable share of its cost: the loops compare instead."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
-    loops = [n for n in ast.walk(tree) if isinstance(n, ast.While)]
+    loops = [n for n in ast.walk(tree)
+             if isinstance(n, (ast.While, ast.For))]
     assert loops
     called = {n.func.id for loop in loops for n in ast.walk(loop)
               if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
