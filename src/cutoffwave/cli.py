@@ -284,12 +284,10 @@ def _load_constants(source: str, reaction: ReactionSpec,
     except (KeyError, TypeError, ValueError):
         raise UsageError(
             f"{source}: expected JSON with numeric a_inf and b_inf") from None
-    window = tuple(data.get("window", (math.nan, math.nan)))
-    return AsymptoticConstants(a_inf=a, b_inf=b,
-                               gamma=float(data.get("gamma", math.nan)),
-                               fit_window=(window[0], window[1]),
-                               fit_residual=float(data.get("residual",
-                                                           math.nan)))
+    # compare reads A and B alone; the file's other keys are not parsed
+    return AsymptoticConstants(a_inf=a, b_inf=b, gamma=math.nan,
+                               fit_window=(math.nan, math.nan),
+                               fit_residual=math.nan)
 
 
 _COMPARE_HEADER = ["u_c", "v_numeric", "v_two_term_small",

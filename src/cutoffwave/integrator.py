@@ -48,9 +48,10 @@ leaves only at an exponential pace, is linear in t (p ~ -lambda_plus*t),
 and where |p + v| has grown far past the rate term the remaining leg is
 finished in closed form.  The rate term f(e^-t)/e^-t does not depend on
 v, so shots at nearby speeds can share one ``StepGrid``: the first shot
-records its accepted step sizes and stage rates, and the others replay
-them under the same error test with no exp or reaction call, stepping
-adaptively only from the first step that fails.
+records its accepted step sizes and stage rates, and the others take
+their steps from it, with no exp or reaction call, under the same error
+test.  A replayed step that fails is rejected like any other, and the
+shot steps adaptively from there.
 """
 
 from __future__ import annotations
@@ -115,9 +116,10 @@ class IntegrationControl:
     initial_step: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
+        # written so that NaN fails them too
+        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_span <= 0.0 or self.initial_step <= 0.0:
+        if not (self.max_span > 0.0 and self.initial_step > 0.0):
             raise ValueError("max_span and initial_step must be positive")
 
 
@@ -506,11 +508,12 @@ class StepGrid:
     ``steps`` holds (h, g2, g3, g4, g5, g6) per accepted step, g_s =
     f(U)/U at the step's stage node s (the seventh stage reuses g6, as
     c7 = 1).  The rate term does not depend on v, so a shot at another
-    speed from the same start to the same threshold re-runs these steps
-    with no exp, no reaction call and no step-size control (see
-    ``shoot_slope``).  ``span`` is the (t_start, t_end) it was recorded
-    on, and ``lands`` tells whether its last step lands on t_end; a
-    recording that ends in the closed-form tail, or turns, does not.
+    speed from the same start to the same threshold takes its steps
+    from here, with no exp, no reaction call and no step-size control,
+    until one fails (see ``shoot_slope``).  ``span`` is the (t_start,
+    t_end) it was recorded on, and ``lands`` tells whether its last step
+    lands on t_end; a recording that ends in the closed-form tail, or
+    turns, does not.
     """
 
     __slots__ = ("span", "steps", "lands")
@@ -538,13 +541,13 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
     or as StepFailure when the last trial step went non-finite.
 
     An empty ``grid`` records this shot's accepted steps.  A filled one
-    is replayed first: its steps are taken in order, t summed as when
-    they were recorded, under the same stage arithmetic, p < 0 rule,
-    error test and closed-form tail test, at the cost of the stage
-    arithmetic alone.  The first step that fails hands over to the
-    adaptive loop, which retries it; so does the end of a grid that stops
-    short of t_end.  Steps after a handover are not recorded.  A grid
-    recorded from another start or threshold raises ValueError.
+    is only read: each step takes its size and stage rates from the
+    grid's next entry, t summed as when they were recorded, at the cost
+    of the stage arithmetic alone; the p < 0 rule, error test and tail
+    test are the same.  A replayed step that fails is rejected like any
+    other, and the shot steps adaptively from there, as it does past the
+    end of a grid that stops short of t_end.  A grid recorded from
+    another start or threshold raises ValueError.
     """
     if control is None:
         control = IntegrationControl()
@@ -566,51 +569,16 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
     dp = p + v + f(a) / a / p
     err = 0.0
     record = None
+    # while i < 0, steps[i] is the grid's next step: i counts up from
+    # -len(steps), so the grid's last step is known by its position
+    steps, i = (), 0
     if grid is not None and not grid.steps:
         grid.span, record = (t, t_end), grid.steps
     elif grid is not None:
         if grid.span != (t, t_end):
             raise ValueError("the step grid was recorded from another start "
                              "or to another threshold")
-        # the recorded steps, in the loop below's arithmetic; every exit
-        # but the landing step falls through to that loop
-        for h, g2, g3, g4, g5, g6 in grid.steps:
-            q = p + v
-            if q * q * rtol > 1.0:
-                break  # the loop below finishes in closed form
-            try:
-                p2 = p + h * (_A21 * dp)
-                dp2 = p2 + v + g2 / p2
-                p3 = p + h * (_A31 * dp + _A32 * dp2)
-                dp3 = p3 + v + g3 / p3
-                p4 = p + h * (_A41 * dp + _A42 * dp2 + _A43 * dp3)
-                dp4 = p4 + v + g4 / p4
-                p5 = p + h * (_A51 * dp + _A52 * dp2 + _A53 * dp3
-                              + _A54 * dp4)
-                dp5 = p5 + v + g5 / p5
-                p6 = p + h * (_A61 * dp + _A62 * dp2 + _A63 * dp3
-                              + _A64 * dp4 + _A65 * dp5)
-                dp6 = p6 + v + g6 / p6
-                p_new = p + h * (_B1 * dp + _B3 * dp3 + _B4 * dp4
-                                 + _B5 * dp5 + _B6 * dp6)
-                dp7 = p_new + v + g6 / p_new
-            except ZeroDivisionError:
-                break
-            if not (p2 < 0.0 and p3 < 0.0 and p4 < 0.0 and p5 < 0.0
-                    and p6 < 0.0 and p_new < 0.0):
-                break
-            err = h * (_E1 * dp + _E3 * dp3 + _E4 * dp4 + _E5 * dp5
-                       + _E6 * dp6 + _E7 * dp7)
-            err = (err if err > 0.0 else -err) / (
-                atol + rtol * -(p if p < p_new else p_new))
-            if not err <= 1.0:
-                break  # the loop below rejects this step as well
-            n_steps += 1
-            t += h
-            p, dp = p_new, dp7
-        else:
-            if grid.lands:
-                return p, n_steps, n_rejects
+        steps, i = grid.steps, -len(grid.steps)
     while True:
         q = p + v
         if q * q * rtol > 1.0:
@@ -618,29 +586,38 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
                 return q * exp(t_end - t) - v, n_steps + 1, n_rejects
             except OverflowError:  # q < 0 here
                 return -math.inf, n_steps + 1, n_rejects
-        # comparisons, not max/min/abs calls, pick the same floats
-        if h < 1e-14 * (t if t > 1.0 else 1.0):
-            if err != err:
-                raise StepFailure(f"step size underflow at U={exp(-t):.6g}: "
-                                  "non-finite rate")
-            raise SpanExceeded(f"step size underflow at U={exp(-t):.6g}: "
-                               f"the path turned above u_c={cutoff.u_c:g}")
-        last = t + h >= t_end
-        if last:
-            h = t_end - t
-        w = -t  # ln U at the step's start
         try:
+            if i:  # a recorded step: its size and stage rates
+                h, g2, g3, g4, g5, g6 = steps[i]
+            else:  # the controller's step, clipped to land on t_end
+                # comparisons, not max/min/abs calls, pick the same floats
+                if h < 1e-14 * (t if t > 1.0 else 1.0):
+                    if err != err:
+                        raise StepFailure("step size underflow at "
+                                          f"U={exp(-t):.6g}: non-finite rate")
+                    raise SpanExceeded(
+                        f"step size underflow at U={exp(-t):.6g}: the path "
+                        f"turned above u_c={cutoff.u_c:g}")
+                last = t + h >= t_end
+                if last:
+                    h = t_end - t
+                w = -t  # ln U at the step's start
+                u = exp(w - _C2 * h); g2 = f(u) / u
+                u = exp(w - _C3 * h); g3 = f(u) / u
+                u = exp(w - _C4 * h); g4 = f(u) / u
+                u = exp(w - _C5 * h); g5 = f(u) / u
+                u = exp(w - h); g6 = f(u) / u
             p2 = p + h * (_A21 * dp)
-            u = exp(w - _C2 * h); g2 = f(u) / u; dp2 = p2 + v + g2 / p2
+            dp2 = p2 + v + g2 / p2
             p3 = p + h * (_A31 * dp + _A32 * dp2)
-            u = exp(w - _C3 * h); g3 = f(u) / u; dp3 = p3 + v + g3 / p3
+            dp3 = p3 + v + g3 / p3
             p4 = p + h * (_A41 * dp + _A42 * dp2 + _A43 * dp3)
-            u = exp(w - _C4 * h); g4 = f(u) / u; dp4 = p4 + v + g4 / p4
+            dp4 = p4 + v + g4 / p4
             p5 = p + h * (_A51 * dp + _A52 * dp2 + _A53 * dp3 + _A54 * dp4)
-            u = exp(w - _C5 * h); g5 = f(u) / u; dp5 = p5 + v + g5 / p5
+            dp5 = p5 + v + g5 / p5
             p6 = p + h * (_A61 * dp + _A62 * dp2 + _A63 * dp3 + _A64 * dp4
                           + _A65 * dp5)
-            u = exp(w - h); g6 = f(u) / u; dp6 = p6 + v + g6 / p6
+            dp6 = p6 + v + g6 / p6
             p_new = p + h * (_B1 * dp + _B3 * dp3 + _B4 * dp4 + _B5 * dp5
                              + _B6 * dp6)
             dp7 = p_new + v + g6 / p_new
@@ -663,15 +640,21 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
             # by _MIN_FACTOR
             factor = _SAFETY * err ** -0.2
             h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            i = 0  # a failed step ends the replay
             continue
         n_steps += 1
+        t += h
+        p, dp = p_new, dp7  # FSAL
+        if i:  # replayed: the grid, not the step factor, sizes the next
+            i += 1
+            if i or not grid.lands:
+                continue
+            return p, n_steps, n_rejects  # the grid's last step landed
         if record is not None:
             record.append((h, g2, g3, g4, g5, g6))
             grid.lands = last
         if last:
-            return p_new, n_steps, n_rejects
-        t += h
-        p, dp = p_new, dp7  # FSAL
+            return p, n_steps, n_rejects
         # err <= 1 here, so the factor is at least _SAFETY > _MIN_FACTOR
         factor = _SAFETY * err ** -0.2 if err else _MAX_FACTOR
         h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR

@@ -112,7 +112,7 @@ class ShootingConfig:
     max_bisections: int = 200
 
     def __post_init__(self) -> None:
-        if self.residual_tol <= 0.0:
+        if not self.residual_tol > 0.0:  # NaN fails it too
             raise ValueError("residual_tol must be positive")
         if not 0.0 < self.epsilon_manifold < 1e-6:
             raise ValueError("epsilon_manifold must lie in (0, 1e-6)")

@@ -98,6 +98,23 @@ def test_solve_numerical_failure_exit(capsys):
     assert "MaxIterations" in err
 
 
+@pytest.mark.parametrize("flag", ["--tol-shoot", "--tol-ode"])
+def test_solve_rejects_nan_tolerance(capsys, flag):
+    # NaN would switch the residual check off (--tol-shoot) or fail the
+    # shots as a numerical error (--tol-ode): it is a usage error
+    code, out, err = run_cli(capsys, "solve", "--uc", "0.5", flag, "nan")
+    assert code == 2 and out == ""
+    assert "positive" in err
+
+
+def test_config_rejects_nan_tolerance(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol_shoot=nan\n")
+    monkeypatch.setenv("PTW_CONFIG", str(cfg))
+    code, out, _ = run_cli(capsys, "solve", "--uc", "0.5")
+    assert code == 2 and out == ""
+
+
 def test_solve_csv_format(capsys):
     code, out, _ = run_cli(capsys, "solve", "--uc", "0.5", "--format", "csv")
     assert code == 0
@@ -352,6 +369,23 @@ def test_compare_single_point(capsys, tmp_path):
     assert row["v_two_term_large"] == pytest.approx(0.1 + 0.01 / 6.0,
                                                     abs=1e-12)
     assert out == reemit_csv(out)
+
+
+@pytest.mark.parametrize("extra", [{"window": [10]}, {"window": 5},
+                                   {"gamma": [1]}, {"residual": "x"}])
+def test_compare_reads_only_a_and_b(capsys, tmp_path, extra):
+    # compare uses A and B alone, so malformed optional keys change nothing
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"a_inf": 3.5, "b_inf": -11.3}))
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps({"a_inf": 3.5, "b_inf": -11.3, **extra}))
+    outs = []
+    for path in (plain, odd):
+        code, out, _ = run_cli(capsys, "compare", "--uc", "0.5,0.01",
+                               "--constants-source", str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_compare_rejects_empty_threshold_list(capsys):

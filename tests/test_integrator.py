@@ -333,6 +333,10 @@ def test_control_validation():
         IntegrationControl(abs_tol=0.0)
     with pytest.raises(ValueError):
         IntegrationControl(max_span=-1.0)
+    # NaN passes a `<= 0` test
+    for field in ("abs_tol", "rel_tol", "max_span", "initial_step"):
+        with pytest.raises(ValueError):
+            IntegrationControl(**{field: math.nan})
 
 
 # speeds to six digits: the two kinds of shot are compared 1e-3 either

@@ -494,6 +494,9 @@ def test_tolerance_robustness_of_speed():
 def test_config_validation():
     with pytest.raises(ValueError):
         ShootingConfig(residual_tol=0.0)
+    # a NaN criterion would switch the residual check off
+    with pytest.raises(ValueError):
+        ShootingConfig(residual_tol=math.nan)
     with pytest.raises(ValueError):
         ShootingConfig(epsilon_manifold=1e-3)
 

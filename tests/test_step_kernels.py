@@ -8,8 +8,9 @@ brackets were recorded when a speed-only solve still ended with a
 bracket end further from zero).  Speeds, brackets and residuals were
 recorded again once each search stage replayed its first shot's step
 grid, which moved speeds by at most 5.8e-15; the slope shots are still
-taken around the speeds found before.  Floats are compared through
-``float.hex``.
+taken around the speeds found before.  The replayed shots were recorded
+while a replay still ran in a loop of its own beside the adaptive one.
+Floats are compared through ``float.hex``.
 """
 
 import ast
@@ -23,7 +24,7 @@ from cutoffwave import (IntegrationControl, PhaseState, by_name, fisher,
                         make_cutoff, solve_speed, trace_until_alpha,
                         unstable_manifold_start)
 from cutoffwave import integrator
-from cutoffwave.integrator import shoot_slope
+from cutoffwave.integrator import StepGrid, shoot_slope
 
 #: v*(u_c) of the default solve before each search stage replayed a step
 #: grid, per (reaction, u_c): the slope shots below are taken around them
@@ -222,6 +223,85 @@ Y_SHOTS = {
 OFFSETS = (1e-8, -1e-8, -0.5)
 
 
+#: v*(5e-324) of the default solve with step grids replayed
+TINY_SPEEDS = {
+    ("fisher", 5e-324): "0x1.fffed473c13cap+0",
+    ("cubic", 5e-324): "0x1.fffed5e029f5ep+0",
+}
+
+# (reaction, u_c, speed and tolerance a grid is recorded at) ->
+# (p.hex(), steps, rejects) of shots at tolerance 1e-12 replaying it at
+# v* + each of REPLAY_OFFSETS.  A grid that fits a replay gives no reject;
+# one that fails a step goes on adaptively from there.
+REPLAYED_SHOTS = {
+    ("fisher", 0.001, "v*", 1e-12): (
+        ("-0x1.ce9d2ce69aa72p+0", 428, 0),
+        ("-0x1.ce9d2b07045fbp+0", 428, 0),
+        ("-0x1.ce9d2ec630f1bp+0", 428, 0),
+        ("-0x1.33e530f381a09p+5", 590, 3),
+    ),
+    ("fisher", 0.001, "v*", 1e-08): (
+        ("-0x1.ce9d2ce69aaa7p+0", 428, 16),
+        ("-0x1.ce9d2b070461dp+0", 428, 16),
+        ("-0x1.ce9d2ec630f45p+0", 428, 16),
+        ("-0x1.33e530f3811fep+5", 461, 15),
+    ),
+    ("fisher", 1e-10, 0.0, 1e-12): (
+        ("-0x1.faf146b6746e0p+0", 645, 18),
+        ("-0x1.faf11627a96c4p+0", 645, 18),
+        ("-0x1.faf177454ab52p+0", 645, 18),
+        ("-0x1.2528ef8e7b90ep+27", 1200, 18),
+    ),
+    ("fisher", 5e-324, "v*", 1e-12): (
+        ("-0x1.fffed4fd42bbbp+0", 974, 0),
+        ("-0x1.e74a336e11442p+0", 974, 0),
+        ("-0x1.0e6d56ab8fab9p+1", 974, 0),
+        ("-inf", 1375, 1),
+    ),
+    ("cubic", 0.5, "v*", 1e-12): (
+        ("-0x1.6fde39a0fc32ep-1", 102, 0),
+        ("-0x1.6fde397effbc0p-1", 102, 0),
+        ("-0x1.6fde39c2f8a9ep-1", 102, 0),
+        ("-0x1.e38ccb8c8a630p-1", 104, 2),
+    ),
+    ("cubic", 1e-10, "v*", 1e-08): (
+        ("-0x1.fb9e2ae025ca6p+0", 555, 13),
+        ("-0x1.fb9def440ec61p+0", 555, 13),
+        ("-0x1.fb9e667c4e1cfp+0", 555, 13),
+        ("-0x1.37027100052e7p+28", 1165, 13),
+    ),
+    ("cubic", 1e-10, 0.0, 1e-12): (
+        ("-0x1.fb9e2ae025ca6p+0", 555, 13),
+        ("-0x1.fb9def440ec61p+0", 555, 13),
+        ("-0x1.fb9e667c4e1cfp+0", 555, 13),
+        ("-0x1.37027100052e7p+28", 1165, 13),
+    ),
+    ("cubic", 1e-300, "v*", 1e-12): (
+        ("-0x1.fffea56a8707ap+0", 864, 0),
+        ("-0x1.ebd17f440c6ffp+0", 864, 0),
+        ("-0x1.0b6dc1b787e6fp+1", 864, 0),
+        ("-0x1.6b7ee824fe8c4p+991", 1283, 1),
+    ),
+    ("cubic", 5e-324, "v*", 1e-12): (
+        ("-0x1.fffed539d634ap+0", 869, 0),
+        ("-0x1.e7203c8c85ea5p+0", 869, 0),
+        ("-0x1.0e8a017286efbp+1", 876, 5),
+        ("-inf", 1283, 1),
+    ),
+}
+
+#: offsets from v* of the replays in REPLAYED_SHOTS, in order
+REPLAY_OFFSETS = (0.0, 1e-8, -1e-8, -0.5)
+
+# (reaction, u_c, v) -> (p.hex(), steps, rejects) of a shot at v that
+# replays every step of the v = 0 grid, which ends short of u_c in the
+# closed-form tail, and then steps on adaptively
+PAST_GRID_END = {
+    ("fisher", 1e-10, 0.01): ("-0x1.545367c63a798p+32", 978, 0),
+    ("cubic", 1e-10, 0.1): ("-0x1.7e5cb6cd19d90p+32", 953, 0),
+}
+
+
 def _hex(*values):
     return tuple(float.hex(x) for x in values)
 
@@ -318,6 +398,39 @@ def test_clamped_y_shot_bits(case, expected):
     record, _ = trace_until_alpha(cut, v, unstable_manifold_start(cut, v),
                                   u_c, IntegrationControl(initial_step=1e-12))
     assert _record_bits(record) == expected
+
+
+def _grid(cut, v, tol):
+    grid = StepGrid()
+    control = IntegrationControl(abs_tol=tol, rel_tol=tol)
+    shoot_slope(cut, v, unstable_manifold_start(cut, v), control, grid=grid)
+    return grid
+
+
+def _replay(cut, v, grid):
+    p, steps, rejects = shoot_slope(cut, v, unstable_manifold_start(cut, v),
+                                    grid=grid)
+    return p.hex(), steps, rejects
+
+
+@pytest.mark.parametrize("name,u_c,recorded_at,tol", list(REPLAYED_SHOTS))
+def test_replayed_shot_bits(name, u_c, recorded_at, tol):
+    cut = make_cutoff(by_name(name), u_c)
+    v_star = float.fromhex({**SPEEDS, **TINY_SPEEDS}[name, u_c])
+    grid = _grid(cut, v_star if recorded_at == "v*" else recorded_at, tol)
+    recorded = list(grid.steps)
+    for dv, expected in zip(REPLAY_OFFSETS,
+                            REPLAYED_SHOTS[name, u_c, recorded_at, tol]):
+        assert _replay(cut, v_star + dv, grid) == expected, dv
+    assert grid.steps == recorded
+
+
+@pytest.mark.parametrize("name,u_c,v", list(PAST_GRID_END))
+def test_replay_past_grid_end_bits(name, u_c, v):
+    cut = make_cutoff(by_name(name), u_c)
+    grid = _grid(cut, 0.0, 1e-12)
+    assert not grid.lands
+    assert _replay(cut, v, grid) == PAST_GRID_END[name, u_c, v]
 
 
 @pytest.mark.parametrize("fn", [integrator.shoot_slope,
