@@ -29,6 +29,8 @@ from .solver import (ShootingConfig, SpeedPoint, snapped_grid, solve_speed,
 
 _CONFIG_ENV = "PTW_CONFIG"
 _CONFIG_KEYS = ("reaction", "tol_ode", "tol_shoot", "epsilon_manifold")
+#: the library's settings, which a flag or config key overrides
+_DEFAULTS = ShootingConfig()
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
@@ -132,13 +134,13 @@ def _resolve(args) -> tuple[str, ReactionSpec, ShootingConfig]:
                                  f"{filecfg[key]!r}") from None
         return default
 
-    tol_ode = pick(args.tol_ode, "tol_ode", 1e-12)
-    tol_shoot = pick(args.tol_shoot, "tol_shoot", 1e-8)
-    eps = pick(args.epsilon_manifold, "epsilon_manifold", 1e-10)
+    tol_ode = pick(args.tol_ode, "tol_ode", _DEFAULTS.control.tol)
+    tol_shoot = pick(args.tol_shoot, "tol_shoot", _DEFAULTS.residual_tol)
+    eps = pick(args.epsilon_manifold, "epsilon_manifold",
+               _DEFAULTS.epsilon_manifold)
     try:
-        control = IntegrationControl(abs_tol=tol_ode, rel_tol=tol_ode)
         config = ShootingConfig(residual_tol=tol_shoot, epsilon_manifold=eps,
-                                control=control)
+                                control=IntegrationControl(tol_ode))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return name, by_name(name), config
@@ -243,6 +245,11 @@ def _cmd_profile(args, name, reaction, config) -> int:
     u_c = _check_uc(args.uc)
     if args.y_min >= args.y_max:
         raise UsageError("--y-min must be below --y-max")
+    # NaN passes the test above; -inf is clamped to the rear below
+    if math.isnan(args.y_min):
+        raise UsageError("--y-min must be a number, got nan")
+    if not math.isfinite(args.y_max):
+        raise UsageError(f"--y-max must be finite, got {args.y_max}")
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
     sol = solve_speed(make_cutoff(reaction, u_c), None, config)
@@ -413,11 +420,13 @@ def _add_common(p: argparse.ArgumentParser, formats: list[str]) -> None:
                    default=None, help="reaction function (default fisher)")
     p.add_argument("--tol-ode", type=float, default=None,
                    help="absolute and relative integration tolerance "
-                        "(default 1e-12)")
+                        f"(default {_DEFAULTS.control.tol:g})")
     p.add_argument("--tol-shoot", type=float, default=None,
-                   help="shooting residual tolerance (default 1e-8)")
+                   help="shooting residual tolerance "
+                        f"(default {_DEFAULTS.residual_tol:g})")
     p.add_argument("--epsilon-manifold", type=float, default=None,
-                   help="unstable-manifold offset (default 1e-10)")
+                   help="unstable-manifold offset "
+                        f"(default {_DEFAULTS.epsilon_manifold:g})")
     p.add_argument("--output", default=None, help="write to file instead of stdout")
     p.add_argument("--format", default=formats[0], choices=formats,
                    help=f"output format (default {formats[0]})")

@@ -98,6 +98,8 @@ _MAX_FACTOR = 10.0
 _EPS = 2.220446049250313e-16
 #: ln 2: above alpha = 2 the path has left the wave region for good
 _W_MAX = math.log(2.0)
+#: a y-trace that covers this span without reaching its level has turned
+_MAX_SPAN = 1e4
 
 
 @dataclass(frozen=True)
@@ -110,17 +112,15 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class IntegrationControl:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_span: float = 1e4
+    """Error tolerance, both absolute and relative, and first trial step."""
+
+    tol: float = 1e-12
     initial_step: float = 1e-4
 
     def __post_init__(self) -> None:
         # written so that NaN fails them too
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if not (self.max_span > 0.0 and self.initial_step > 0.0):
-            raise ValueError("max_span and initial_step must be positive")
+        if not (self.tol > 0.0 and self.initial_step > 0.0):
+            raise ValueError("tol and initial_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -296,18 +296,14 @@ class _Integration:
         """Step forward until alpha first equals ``alpha_stop`` (> 0).
 
         Returns True on the event (state snapped to the crossing) and
-        False when the span budget runs out first.  The rate callable is
-        f(alpha) and must be smooth over the leg; zone switching is the
-        caller's job.
+        False when the trajectory has covered ``_MAX_SPAN`` of y first.
+        The rate callable is f(alpha) and must be smooth over the leg;
+        zone switching is the caller's job.
         """
         traj = self.trajectory
-        if self.state.alpha == alpha_stop:
-            traj.y_end, traj._w_end = self.y, self.w
-            return True
         v = self.v
-        atol = self.control.abs_tol
-        rtol = self.control.rel_tol
-        y_limit = traj.y_start + self.control.max_span
+        tol = self.control.tol
+        y_limit = traj.y_start + _MAX_SPAN
         w_stop = math.log(alpha_stop)
         exp = math.exp
         segments = traj._segments
@@ -368,10 +364,10 @@ class _Integration:
                 # max(|a|, |b|) passes over a NaN b, as max(abs(a), abs(b))
                 m = w if w > 0.0 else -w
                 m_new = w_new if w_new > 0.0 else -w_new
-                sw = atol + rtol * (m_new if m_new > m else m)
+                sw = tol + tol * (m_new if m_new > m else m)
                 m = p if p > 0.0 else -p
                 m_new = p_new if p_new > 0.0 else -p_new
-                sp = atol + rtol * (m_new if m_new > m else m)
+                sp = tol + tol * (m_new if m_new > m else m)
                 err = math.sqrt(0.5 * ((err_w / sw) ** 2 + (err_p / sp) ** 2))
 
             if not err <= 1.0:  # rejects NaN estimates as well
@@ -463,43 +459,45 @@ def unstable_manifold_start(cutoff: CutoffReaction, v: float,
     return PhaseState(1.0 - epsilon, -lambda_plus(cutoff.base, v) * epsilon)
 
 
+def _trace(v: float, start: PhaseState, control: IntegrationControl | None,
+           y0: float, *legs: tuple) -> tuple[EventRecord, Trajectory]:
+    """Step from ``start`` through ``legs``, (rate, level) pairs of smooth
+    dynamics, to the last level; a leg whose level the path has already
+    reached is skipped.  Raises as ``trace_until_alpha`` does."""
+    if control is None:
+        control = IntegrationControl()
+    target = legs[-1][1]
+    # written so that NaN fails them too
+    if not v >= 0.0:
+        raise ValueError("speed must be non-negative")
+    if not (target > 0.0 and start.alpha >= target):
+        raise ValueError("need start.alpha >= alpha_target > 0")
+    run = _Integration(v, start, y0, control)
+    for rate, level in legs:
+        if run.state.alpha > level and not run.advance_to_alpha(rate, level):
+            raise SpanExceeded(
+                f"alpha={run.state.alpha:.6g} after span {_MAX_SPAN:g} "
+                f"(target {target:g}); trajectory turned above the target")
+    return run.record(), run.trajectory
+
+
 def trace_until_alpha(cutoff: CutoffReaction, v: float, start: PhaseState,
                       alpha_target: float,
                       control: IntegrationControl | None = None,
                       ) -> tuple[EventRecord, Trajectory]:
     """Integrate the phase-plane system until alpha first hits the target.
 
-    Returns the event record and the dense path.  The target must be
-    positive (alpha = e^w never reaches 0), else ValueError.  Raises
-    SpanExceeded when y outruns ``control.max_span`` first (the
-    trajectory turned, i.e. stalled above the target level) and
-    StepFailure on step-size underflow.
+    Returns the event record and the dense path.  Raises ValueError for
+    a negative or NaN speed, or a target outside (0, start.alpha] (alpha
+    = e^w never reaches 0); SpanExceeded when the trajectory turned,
+    i.e. stalled above the target, seen once y has covered
+    ``_MAX_SPAN``; and StepFailure on step-size underflow.
     """
-    if control is None:
-        control = IntegrationControl()
-    if v < 0.0:
-        raise ValueError("speed must be non-negative")
-    if alpha_target <= 0.0 or start.alpha < alpha_target:
-        raise ValueError("need start.alpha >= alpha_target > 0")
-
-    run = _Integration(v, start, 0.0, control)
-    u_c = cutoff.u_c
-    base_f = cutoff.base.f
     # legs of smooth dynamics: above the threshold the gated rate equals
     # the base reaction, at or below it the rate is identically zero
-    if start.alpha > u_c:
-        stop = u_c if alpha_target < u_c else alpha_target
-        if not run.advance_to_alpha(base_f, stop):
-            raise SpanExceeded(
-                f"alpha={run.state.alpha:.6g} after span "
-                f"{control.max_span:g} (target {alpha_target:g})")
-    if run.state.alpha > alpha_target:
-        if not run.advance_to_alpha(lambda _u: 0.0, alpha_target):
-            raise SpanExceeded(
-                f"alpha={run.state.alpha:.6g} after span "
-                f"{control.max_span:g} (target {alpha_target:g}); "
-                "trajectory turned above the target")
-    return run.record(), run.trajectory
+    return _trace(v, start, control, 0.0,
+                  (cutoff.base.f, max(cutoff.u_c, alpha_target)),
+                  (lambda _u: 0.0, alpha_target))
 
 
 class StepGrid:
@@ -532,10 +530,10 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
     A record-only shot against t = -ln U instead of y: while U falls,
     p = U'/U obeys dp/dt = (p + v) + g/p with g = f(U)/U, and the last
     step is clipped to land on t = -ln u_c, so there is no event search.
-    Once (p + v)^2 > 1/rel_tol the rest of the leg is finished in closed
+    Once (p + v)^2 > 1/tol the rest of the leg is finished in closed
     form, p = (p + v)*e^(t_end - t) - v: g <= 1 for a normalised KPP
     reaction and |p| grows, so the dropped term moves p + v by less than
-    rel_tol relative.  Returns (p, steps, rejects), the tail counting as a step.
+    tol relative.  Returns (p, steps, rejects), the tail counting as a step.
     A stage with p >= 0 (U has stopped falling) is rejected; a path that
     turns therefore ends in step-size underflow, raised as SpanExceeded,
     or as StepFailure when the last trial step went non-finite.
@@ -551,14 +549,15 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
     """
     if control is None:
         control = IntegrationControl()
-    if v < 0.0:
+    # written so that NaN fails them too
+    if not v >= 0.0:
         raise ValueError("speed must be non-negative")
     a = start.alpha
-    if a < cutoff.u_c or start.beta >= 0.0:
+    if a < cutoff.u_c or not start.beta < 0.0:
         raise ValueError("need start.alpha >= u_c and start.beta < 0")
     f = cutoff.base.f
     exp = math.exp
-    atol, rtol = control.abs_tol, control.rel_tol
+    tol = control.tol
     t = -(math.log1p(a - 1.0) if a > 0.5 else math.log(a))
     t_end = -math.log(cutoff.u_c)
     p = start.beta / a
@@ -581,7 +580,7 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
         steps, i = grid.steps, -len(grid.steps)
     while True:
         q = p + v
-        if q * q * rtol > 1.0:
+        if q * q * tol > 1.0:
             try:
                 return q * exp(t_end - t) - v, n_steps + 1, n_rejects
             except OverflowError:  # q < 0 here
@@ -630,7 +629,7 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
                            + _E6 * dp6 + _E7 * dp7)
                 # p < 0 as well, so max(|p|, |p_new|) = -min(p, p_new)
                 err = (err if err > 0.0 else -err) / (
-                    atol + rtol * -(p if p < p_new else p_new))
+                    tol + tol * -(p if p < p_new else p_new))
             else:  # U stops falling inside the step, or a NaN stage
                 err = math.inf if p_new == p_new else math.nan
 
@@ -669,15 +668,6 @@ def trace_field_until_alpha(rate: Callable[[float], float], v: float,
 
     Used for reaction functions without a cut-off (no zone splitting);
     ``y0`` offsets the independent variable so chained legs line up.
-    The target must be positive, else ValueError.
+    Speed, target and failures as for ``trace_until_alpha``.
     """
-    if control is None:
-        control = IntegrationControl()
-    if alpha_target <= 0.0 or start.alpha < alpha_target:
-        raise ValueError("need start.alpha >= alpha_target > 0")
-    run = _Integration(v, start, y0, control)
-    if not run.advance_to_alpha(rate, alpha_target):
-        raise SpanExceeded(
-            f"alpha={run.state.alpha:.6g} after span "
-            f"{control.max_span:g} (target {alpha_target:g})")
-    return run.record(), run.trajectory
+    return _trace(v, start, control, y0, (rate, alpha_target))

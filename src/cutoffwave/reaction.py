@@ -117,7 +117,7 @@ def lambda_plus(reaction: ReactionSpec, v: float) -> float:
     Governs the exponential approach of the wave rear to u = 1; strictly
     decreasing in v for v >= 0.
     """
-    if v < 0.0:
+    if not v >= 0.0:  # NaN fails it too
         raise ValueError("speed must be non-negative")
     a = abs(reaction.fprime_at_1)
     return 0.5 * (-v + math.sqrt(v * v + 4.0 * a))

@@ -66,8 +66,6 @@ def solve_reference(reaction: ReactionSpec,
     front region has negative slope), locates U = 1/2 by event detection
     and shifts the origin there.
     """
-    if control is None:
-        control = IntegrationControl()
     v = _MIN_SPEED
     eps = _MANIFOLD_OFFSET
     start = PhaseState(1.0 - eps, -lambda_plus(reaction, v) * eps)

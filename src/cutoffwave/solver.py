@@ -95,6 +95,9 @@ _BISECTION_SLACK = 8
 #: of a normalised reaction
 _SPEED_CAP = 2.0
 
+#: caps the search shots counted in ``n_iterations``, over both stages
+_MAX_SHOTS = 200
+
 #: below this threshold a solve with no guess seeds its bracket at the
 #: paper's two-term speed 2 - pi^2/L^2 (L = ln u_c), padded by
 #: _SEED_PAD/|L|^3: the three-term correction it leaves out is about
@@ -108,8 +111,6 @@ class ShootingConfig:
     residual_tol: float = 1e-8
     epsilon_manifold: float = 1e-10
     control: IntegrationControl = field(default_factory=IntegrationControl)
-    #: caps the shots counted in ``n_iterations``, over both stages
-    max_bisections: int = 200
 
     def __post_init__(self) -> None:
         if not self.residual_tol > 0.0:  # NaN fails it too
@@ -309,10 +310,11 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
 
     A guess seeds a bracket of half-width ``pad`` (no guess: 2 - pi^2/L^2
     +- 40/|L|^3, L = ln u_c, below u_c = 1e-3, else
-    [0, min(2, v_upper_bound)]) that is widened geometrically, clipped
-    to [0, min(2, v_upper_bound)], until the residual changes sign
-    across it.  Stage 1 collapses it to about ``_FINE_HALF_WIDTH`` with
-    shots at ``config.control`` relaxed to ``_COARSE_TOL``; stage 2
+    [0, min(2, v_upper_bound)]; so does a guess whose bracket would be
+    empty or NaN) that is widened geometrically, clipped to [0, min(2,
+    v_upper_bound)], until the residual changes sign across it.
+    Stage 1 collapses it to about ``_FINE_HALF_WIDTH`` with shots at
+    ``config.control``'s tolerance relaxed to ``_COARSE_TOL``; stage 2
     opens +-``_FINE_HALF_WIDTH`` around its midpoint at
     ``config.control``, widens it the same way and collapses it to
     ``_BRACKET_WIDTH_FLOOR``.  A stage's shots replay the step grid of
@@ -320,8 +322,8 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     bracket.  ``residual`` is u_c*(p + v) at the end of that bracket
     further from zero, which bounds r(v*); 0 on an exact zero (lo == hi).
     ``n_iterations`` counts every search shot but the two opening bracket
-    shots.  Raises MaxIterations when ``config.max_bisections`` such
-    shots leave the bracket wider or the residual misses
+    shots.  Raises MaxIterations when ``_MAX_SHOTS`` such shots leave
+    the bracket wider or the residual misses
     ``config.residual_tol``, and ValueError when u_c is not below
     1 - epsilon_manifold.
 
@@ -335,8 +337,7 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     _check_start(cutoff, config)
     vub = min(_SPEED_CAP, v_upper_bound(cutoff))
     fine = config.control
-    coarse = replace(fine, abs_tol=max(_COARSE_TOL, fine.abs_tol),
-                     rel_tol=max(_COARSE_TOL, fine.rel_tol))
+    coarse = replace(fine, tol=max(_COARSE_TOL, fine.tol))
     shots = 0
 
     def collapse(lo: float, hi: float, control: IntegrationControl,
@@ -351,7 +352,7 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
 
         lo, hi, r_lo, r_hi = _widen(f, lo, hi, vub, cutoff.u_c)
         return _brent(f, lo, hi, r_lo, r_hi,
-                      config.max_bisections - (shots - 2), floor)[:4]
+                      _MAX_SHOTS - (shots - 2), floor)[:4]
 
     if guess is None and cutoff.u_c < _SEED_BELOW:
         log_uc = math.log(cutoff.u_c)
@@ -362,7 +363,7 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     else:
         lo = max(0.0, guess - pad)
         hi = min(guess + pad, vub)
-        if lo >= hi:
+        if not lo < hi:  # a NaN guess or pad as well
             lo, hi = 0.0, vub
     if coarse != fine:
         mid = 0.5 * sum(collapse(lo, hi, coarse, _FINE_HALF_WIDTH)[:2])

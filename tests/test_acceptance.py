@@ -29,8 +29,7 @@ def _ucs60():
 
 
 def _compute(tol: float) -> dict:
-    config = ShootingConfig(control=IntegrationControl(abs_tol=tol,
-                                                       rel_tol=tol))
+    config = ShootingConfig(control=IntegrationControl(tol=tol))
     t0 = time.perf_counter()
     curve = sweep(fisher(), _ucs60(), config)
     sweep_seconds = time.perf_counter() - t0

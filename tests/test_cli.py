@@ -285,6 +285,23 @@ def test_profile_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--y-min", "nan"), ("--y-max", "nan"),
+                                        ("--y-max", "inf")])
+def test_profile_refuses_non_finite_window(capsys, flag, value):
+    # these used to print NaN or inf rows with exit code 0
+    code, out, err = run_cli(capsys, "profile", "--uc", "0.5",
+                             f"{flag}={value}")
+    assert code == 2 and out == ""
+    assert flag in err
+
+
+def test_profile_minus_inf_clamps_to_computed_rear(capsys):
+    minus_inf, deep = (run_cli(capsys, "profile", "--uc", "0.9",
+                               f"--y-min={y}", "--y-max", "2", "--samples",
+                               "31") for y in ("-inf", "-1000"))
+    assert minus_inf == deep and deep[0] == 0
+
+
 def test_profile_clamps_to_computed_rear(capsys):
     # the rear only extends to the saddle approach; a deeper request is
     # clamped, keeping the requested sample count

@@ -46,6 +46,23 @@ def test_rejects_bad_preconditions():
         trace_until_alpha(cut, 1.0, PhaseState(0.4, -0.1), 0.5)[0]
 
 
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_nan_or_negative_speed_and_target_refused(bad):
+    # NaN passes a `< 0` test: before these checks a NaN target ran 2,775
+    # steps to an alpha of NaN, and a NaN speed ended in StepFailure
+    cut = make_cutoff(fisher(), 0.5)
+    start = PhaseState(0.9, -0.1)
+    for call in (lambda: trace_until_alpha(cut, bad, start, 0.5),
+                 lambda: trace_until_alpha(cut, 0.5, start, bad),
+                 lambda: trace_field_until_alpha(fisher().f, bad, start, 0.5),
+                 lambda: trace_field_until_alpha(fisher().f, 2.0, start, bad),
+                 lambda: shoot_slope(cut, bad, start)):
+        with pytest.raises(ValueError):
+            call()
+    with pytest.raises(ValueError):
+        shoot_slope(cut, 0.5, PhaseState(0.9, math.nan))
+
+
 def test_event_beta_matches_quadrature_at_rest():
     # with v = 0 the phase path satisfies beta^2 = 2*int_alpha^1 f_c
     cut = make_cutoff(fisher(), 0.5)
@@ -253,7 +270,7 @@ def test_step_halving_convergence():
     v = 0.3
     betas = []
     for tol in (1e-12, 5e-13):
-        control = IntegrationControl(abs_tol=tol, rel_tol=tol)
+        control = IntegrationControl(tol=tol)
         ev = trace_until_alpha(cut, v, unstable_manifold_start(cut, v),
                                0.5, control)[0]
         betas.append(ev.state.beta)
@@ -267,7 +284,7 @@ def test_small_threshold_slope_ratio_independent_of_tolerance():
     v = 1.98
     ratios = []
     for tol in (1e-12, 1e-13):
-        control = IntegrationControl(abs_tol=tol, rel_tol=tol)
+        control = IntegrationControl(tol=tol)
         ev = trace_until_alpha(cut, v, unstable_manifold_start(cut, v),
                                1e-10, control)[0]
         ratios.append(ev.state.beta / ev.state.alpha + v)
@@ -330,11 +347,11 @@ def test_step_failure_on_non_finite_rate():
 
 def test_control_validation():
     with pytest.raises(ValueError):
-        IntegrationControl(abs_tol=0.0)
+        IntegrationControl(tol=0.0)
     with pytest.raises(ValueError):
-        IntegrationControl(max_span=-1.0)
+        IntegrationControl(initial_step=-1.0)
     # NaN passes a `<= 0` test
-    for field in ("abs_tol", "rel_tol", "max_span", "initial_step"):
+    for field in ("tol", "initial_step"):
         with pytest.raises(ValueError):
             IntegrationControl(**{field: math.nan})
 
@@ -442,7 +459,7 @@ def test_step_grid_hands_over_to_adaptive_steps(name, u_c):
     # steps recorded at tolerance 1e-8 fail the test at 1e-12: the shot
     # goes on adaptively from the first that fails
     loose = StepGrid()
-    _slope(cut, v, IntegrationControl(1e-8, 1e-8), grid=loose)
+    _slope(cut, v, IntegrationControl(tol=1e-8), grid=loose)
     p, steps, _ = _slope(cut, v, grid=loose)
     assert steps > len(loose.steps)
     assert abs(p - _slope(cut, v)[0]) <= 1e-10 * abs(p)

@@ -50,6 +50,12 @@ def test_cutoff_gating():
     assert cut.f_c_plus == pytest.approx(0.25, abs=1e-15)
 
 
+@pytest.mark.parametrize("v", [math.nan, -1.0])
+def test_lambda_plus_refuses_nan_or_negative_speed(v):
+    with pytest.raises(ValueError):
+        lambda_plus(fisher(), v)
+
+
 @pytest.mark.parametrize("u_c", [0.0, 1.0, -0.2, 1.5])
 def test_cutoff_rejects_bad_threshold(u_c):
     with pytest.raises(ValueError):

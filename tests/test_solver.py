@@ -243,18 +243,36 @@ def test_assemble_profile_ranges(fisher_half):
         assemble_profile(fisher_half, y_min=1.0, y_max=2.0)
 
 
-def test_max_iterations_raised():
+def test_max_iterations_raised(monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_SHOTS", 3)
     cut = make_cutoff(fisher(), 0.5)
     with pytest.raises(MaxIterations):
-        solve_speed(cut, config=ShootingConfig(max_bisections=3))
+        solve_speed(cut)
 
 
-def test_cap_before_width_floor_raised():
+def test_cap_before_width_floor_raised(monkeypatch):
     # at small u_c the residual carries the factor u_c, so a loose speed
     # (1.984375 against 1.98024408) still meets the residual criterion
+    monkeypatch.setattr(solver, "_MAX_SHOTS", 6)
     cut = make_cutoff(fisher(), 1e-10)
     with pytest.raises(MaxIterations, match="bracket width"):
-        solve_speed(cut, config=ShootingConfig(max_bisections=6))
+        solve_speed(cut)
+
+
+@pytest.mark.parametrize("v", [math.nan, -1.0])
+def test_shoot_residual_refuses_nan_or_negative_speed(v):
+    # a NaN speed used to end in StepFailure, a numerical failure
+    with pytest.raises(ValueError):
+        shoot_residual(make_cutoff(fisher(), 0.5), v)
+
+
+@pytest.mark.parametrize("guess,pad", [(math.nan, 0.25), (0.56, math.nan)])
+def test_nan_guess_or_pad_opens_the_cold_bracket(guess, pad):
+    # as an out-of-range guess does, where [0, nan] used to end in
+    # StepFailure
+    cut = make_cutoff(fisher(), 0.5)
+    assert (solve_speed(cut, guess, pad=pad, speed_only=True)
+            == solve_speed(cut, speed_only=True))
 
 
 def _bisection_shots(f, lo, hi):
@@ -543,8 +561,7 @@ def test_coarse_stage_then_caller_tolerance(monkeypatch, reaction):
     controls = [c for c, _ in shots]
     n_coarse = sum(c != config.control for c in controls)
     assert n_coarse >= 2
-    assert all(c.abs_tol == c.rel_tol == solver._COARSE_TOL
-               for c in controls[:n_coarse])
+    assert all(c.tol == solver._COARSE_TOL for c in controls[:n_coarse])
     assert all(c == config.control for c in controls[n_coarse:])
     assert len(controls) - n_coarse >= 3 and shots[-1][1] > 0
     assert len(shots) == sol.n_iterations + 3
@@ -564,7 +581,7 @@ def test_loose_tolerance_skips_coarse_stage(monkeypatch, tol):
         return brent(*args)
 
     monkeypatch.setattr(solver, "_brent", spy)
-    control = IntegrationControl(abs_tol=tol, rel_tol=tol)
+    control = IntegrationControl(tol=tol)
     sol = solve_speed(make_cutoff(fisher(), 1e-3),
                       config=ShootingConfig(control=control))
     assert len(shots) == sol.n_iterations + 3
@@ -667,6 +684,6 @@ def test_default_speed_near_tight_tolerance_speed(name, u_c):
     # the thresholds where the default speed lies furthest from the
     # converged one still agree with it to 3e-13
     cut = make_cutoff(by_name(name), u_c)
-    tight = ShootingConfig(control=IntegrationControl(1e-14, 1e-14))
+    tight = ShootingConfig(control=IntegrationControl(tol=1e-14))
     assert abs(solve_speed(cut).v_star
                - solve_speed(cut, config=tight).v_star) <= 3e-13

@@ -316,7 +316,7 @@ def test_speed_bits(name, u_c):
 @pytest.mark.parametrize("name,u_c,tol", list(SLOPE_SHOTS))
 def test_slope_shot_bits(name, u_c, tol):
     cut = make_cutoff(by_name(name), u_c)
-    control = IntegrationControl(abs_tol=tol, rel_tol=tol)
+    control = IntegrationControl(tol=tol)
     for dv, expected in zip(OFFSETS, SLOPE_SHOTS[name, u_c, tol]):
         v = float.fromhex(SPEEDS[name, u_c]) + dv
         p, steps, rejects = shoot_slope(
@@ -385,7 +385,7 @@ CLAMPED_Y_SHOTS = [
 def test_clamped_slope_shot_bits(case, expected):
     name, u_c, v, tol, h0 = case
     cut = make_cutoff(by_name(name), u_c)
-    control = IntegrationControl(abs_tol=tol, rel_tol=tol, initial_step=h0)
+    control = IntegrationControl(tol=tol, initial_step=h0)
     p, steps, rejects = shoot_slope(cut, v, unstable_manifold_start(cut, v),
                                     control)
     assert (p.hex(), steps, rejects) == expected
@@ -402,7 +402,7 @@ def test_clamped_y_shot_bits(case, expected):
 
 def _grid(cut, v, tol):
     grid = StepGrid()
-    control = IntegrationControl(abs_tol=tol, rel_tol=tol)
+    control = IntegrationControl(tol=tol)
     shoot_slope(cut, v, unstable_manifold_start(cut, v), control, grid=grid)
     return grid
 
