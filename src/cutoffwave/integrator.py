@@ -17,8 +17,11 @@ control is relative to alpha and the slope ratio beta/alpha at a small
 threshold is resolved as sharply as at a large one.  Everything outside
 the stepper reads and writes (alpha, beta) = (e^w, e^w * p); the dense
 output is read back by ``Trajectory.sample`` at one y or an array of y.
-Every accepted step stores its segment: the y-stepper serves only callers
-that read the path (a full solve, profiles, the reference wave).
+Every accepted step stores its stage values, and the quartic coefficients
+are built from them, for all steps at once, when the path is first read:
+the y-stepper serves only callers that may read the path (a full solve,
+profiles, the reference wave), and a path that is never read never pays
+for its dense output.
 
 Threshold crossings (alpha reaching a target level, i.e. w reaching its
 logarithm) are terminal events, localized by bisection on the
@@ -152,21 +155,32 @@ class Trajectory:
         # ln alpha at y_end as traced (an event snaps it to its level),
         # once the path has moved
         self._w_end = math.inf
-        # per segment the flat 12-tuple (y0, h, w0, p0, qw0..qw3, qp0..qp3),
-        # q* the quartic coefficients of w and p
+        # per segment the flat 17-tuple of a step's stage values (y0, h,
+        # w0, p0, kw1, kw3..kw7, kp1, kp3..kp7, line): kw* and kp* are the
+        # slopes of w and p at the stages the dense output weighs (kw1 =
+        # p0), and line is 1.0 for a straight segment whose slopes are
+        # kw1 and kp1 alone
         self._segments: list[tuple] = []
-        # the segments as an (n, 12) array, built when first read (again
-        # after segments are added): unread shots never pay for it
+        # the (n, 12) coefficient table, built when first read (again
+        # after segments are added): unread paths never pay for it
         self._rows: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._segments)
 
     def _table(self) -> np.ndarray:
+        """Per segment (y0, h, w0, p0, qw0..qw3, qp0..qp3), q* the quartic
+        coefficients of w and p, to the bit as the stepper would sum them."""
         n = len(self._segments)
         if self._rows is None or len(self._rows) != n:
-            self._rows = np.fromiter(chain.from_iterable(self._segments),
-                                     float, 12 * n).reshape(n, 12)
+            raw = np.fromiter(chain.from_iterable(self._segments), float,
+                              17 * n).reshape(n, 17)
+            rows = np.column_stack([raw[:, :4], *_dense(*raw[:, 4:10].T),
+                                    *_dense(*raw[:, 10:16].T)])
+            line = raw[:, 16] != 0.0
+            rows[line, 4:] = 0.0
+            rows[line, 4], rows[line, 8] = raw[line, 4], raw[line, 10]
+            self._rows = rows
         return self._rows
 
     def sample(self, y):
@@ -215,7 +229,7 @@ class Trajectory:
         if not hit.size:
             return None
         i = int(hit[0])
-        y0, h, w0, p0, *q = self._segments[i]
+        y0, h, w0, p0, *q = rows[i].tolist()
         qw, qp = q[:4], q[4:]
         t = _bisect_theta(w0, h, qw, w_target, float(t_max[i]))
         a = math.exp(_quartic(w0, h, qw, t))
@@ -236,6 +250,19 @@ def exp_each(x: np.ndarray) -> np.ndarray:
     arguments, which would change printed 17-digit profiles.
     """
     return np.fromiter(map(math.exp, x.tolist()), float, len(x))
+
+
+def _dense(k1, k3, k4, k5, k6, k7):
+    """The four quartic coefficients of one variable from its slopes at
+    the stages, floats or arrays alike, summed left to right."""
+    return (_P1[0] * k1 + _P3[0] * k3 + _P4[0] * k4 + _P5[0] * k5
+            + _P6[0] * k6 + _P7[0] * k7,
+            _P1[1] * k1 + _P3[1] * k3 + _P4[1] * k4 + _P5[1] * k5
+            + _P6[1] * k6 + _P7[1] * k7,
+            _P1[2] * k1 + _P3[2] * k3 + _P4[2] * k4 + _P5[2] * k5
+            + _P6[2] * k6 + _P7[2] * k7,
+            _P1[3] * k1 + _P3[3] * k3 + _P4[3] * k4 + _P5[3] * k5
+            + _P6[3] * k6 + _P7[3] * k7)
 
 
 def _quartic(y0, h, q, t):
@@ -378,23 +405,10 @@ class _Integration:
                 h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
                 continue
 
-            qw = (_P1[0] * p + _P3[0] * p3 + _P4[0] * p4 + _P5[0] * p5
-                  + _P6[0] * p6 + _P7[0] * p_new,
-                  _P1[1] * p + _P3[1] * p3 + _P4[1] * p4 + _P5[1] * p5
-                  + _P6[1] * p6 + _P7[1] * p_new,
-                  _P1[2] * p + _P3[2] * p3 + _P4[2] * p4 + _P5[2] * p5
-                  + _P6[2] * p6 + _P7[2] * p_new,
-                  _P1[3] * p + _P3[3] * p3 + _P4[3] * p4 + _P5[3] * p5
-                  + _P6[3] * p6 + _P7[3] * p_new)
-            qp = (_P1[0] * dp + _P3[0] * dp3 + _P4[0] * dp4 + _P5[0] * dp5
-                  + _P6[0] * dp6 + _P7[0] * dp7,
-                  _P1[1] * dp + _P3[1] * dp3 + _P4[1] * dp4 + _P5[1] * dp5
-                  + _P6[1] * dp6 + _P7[1] * dp7,
-                  _P1[2] * dp + _P3[2] * dp3 + _P4[2] * dp4 + _P5[2] * dp5
-                  + _P6[2] * dp6 + _P7[2] * dp7,
-                  _P1[3] * dp + _P3[3] * dp3 + _P4[3] * dp4 + _P5[3] * dp5
-                  + _P6[3] * dp6 + _P7[3] * dp7)
-            segments.append((y, h, w, p, *qw, *qp))
+            # the dense output's coefficients wait for the path's first
+            # read (Trajectory._table); only the event step forms its own
+            segments.append((y, h, w, p, p, p3, p4, p5, p6, p_new,
+                             dp, dp3, dp4, dp5, dp6, dp7, 0.0))
             self.n_steps += 1
             # err <= 1 here, so the factor is at least _SAFETY > _MIN_FACTOR
             factor = _SAFETY * err ** -0.2 if err else _MAX_FACTOR
@@ -402,9 +416,11 @@ class _Integration:
                 factor = _MAX_FACTOR
 
             if w_new <= w_stop:
-                t = _bisect_theta(w, h, qw, w_stop)
+                t = _bisect_theta(w, h, _dense(p, p3, p4, p5, p6, p_new),
+                                  w_stop)
                 y_event = y + t * h
-                p_event = _quartic(p, h, qp, t)
+                p_event = _quartic(p, h, _dense(dp, dp3, dp4, dp5, dp6, dp7),
+                                   t)
                 # snap alpha to the target; the interpolant agrees to a
                 # relative 1e-14
                 self.y, self.w, self.p = y_event, w_stop, p_event
@@ -437,8 +453,8 @@ class _Integration:
         p_event = beta / alpha_stop
         if s > 0.0:
             self.trajectory._segments.append(
-                (y, s, w, p, (w_stop - w) / s, 0.0, 0.0, 0.0,
-                 (p_event - p) / s, 0.0, 0.0, 0.0))
+                (y, s, w, p, (w_stop - w) / s, 0.0, 0.0, 0.0, 0.0, 0.0,
+                 (p_event - p) / s, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
             self.n_steps += 1
         self.y, self.w, self.p, self.h = y + s, w_stop, p_event, h
         self.state = PhaseState(alpha_stop, beta)

@@ -39,7 +39,8 @@ on r alone cannot pin the speed for small u_c, since r carries the
 factor u_c.  r changes sign across stage 2's final bracket, whose ends
 were shot at the caller's tolerance on one grid, so the end further from
 zero bounds r(v*) with no shot at v*.  Only a full solve steps in y, with
-``trace_until_alpha``, for the dense path of its profile.
+``trace_until_alpha``, for the dense path of its profile, which is built
+when first read.
 ``sweep`` seeds each row's bracket by a secant through the last two
 speeds in ln u_c, padded by a multiple of the last prediction's miss.
 """
@@ -49,6 +50,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -130,16 +132,38 @@ class Profile:
 
 @dataclass
 class WaveSolution:
+    """A solved wave: its speed, bracket and residual, and its dense path.
+
+    ``profile`` (1,201 samples) and ``y_half`` are computed from the
+    trajectory when first read and kept; either may be assigned.
+    """
+
     u_c: float
     v_star: float
     residual: float
     bracket: tuple[float, float]
     n_iterations: int
-    profile: Profile
-    y_half: float
     cutoff: CutoffReaction = field(repr=False)
     trajectory: Trajectory = field(repr=False)
     y_event: float = field(repr=False)
+
+    @cached_property
+    def profile(self) -> Profile:
+        # tail span 2/v* always covers the half-height point (ln(2u_c)/v*)
+        # while keeping the rear densely sampled even for large thresholds
+        return assemble_profile(self, y_min=-self.y_event,
+                                y_max=max(2.0 / self.v_star, 5.0),
+                                n_samples=1201)
+
+    @cached_property
+    def y_half(self) -> float:
+        """y at which U_T = 1/2, in the frame with U_T(0) = u_c."""
+        if self.u_c < 0.5:
+            hit = self.trajectory.find_alpha(0.5)
+            if hit is None:  # unreachable for epsilon_manifold < 1/2
+                raise CutoffWaveError("trajectory does not span U = 1/2")
+            return hit[0] - self.y_event
+        return math.log(2.0 * self.u_c) / self.v_star
 
     def sample(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(U, U') on a 1-D array of y, with the threshold at y = 0.
@@ -330,7 +354,8 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     With ``speed_only`` a :class:`SpeedPoint`, bracket included, is
     returned and no shot steps in y; otherwise a dense y-shot at v*,
     held to the same criterion, gives a :class:`WaveSolution` with its
-    trajectory, a 1,201-sample profile and ``y_half``.
+    trajectory.  Its 1,201-sample profile and ``y_half`` are computed
+    when first read, as are the trajectory's dense-output coefficients.
     """
     if config is None:
         config = ShootingConfig()
@@ -395,27 +420,10 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     if speed_only:
         return SpeedPoint(cutoff.u_c, v_star, residual, n_iter, (lo, hi))
 
-    solution = WaveSolution(
+    return WaveSolution(
         u_c=cutoff.u_c, v_star=v_star, residual=residual, bracket=(lo, hi),
-        n_iterations=n_iter, profile=Profile(np.empty(0), np.empty(0), np.empty(0)),
-        y_half=0.0, cutoff=cutoff, trajectory=traj, y_event=record.y_event)
-    # tail span 2/v* always covers the half-height point (ln(2u_c)/v*)
-    # while keeping the rear densely sampled even for large thresholds
-    solution.profile = assemble_profile(solution, y_min=-record.y_event,
-                                        y_max=max(2.0 / v_star, 5.0),
-                                        n_samples=1201)
-    solution.y_half = _locate_half(solution)
-    return solution
-
-
-def _locate_half(solution: WaveSolution) -> float:
-    """y at which U_T = 1/2, in the frame with U_T(0) = u_c."""
-    if solution.u_c < 0.5:
-        hit = solution.trajectory.find_alpha(0.5)
-        if hit is None:  # unreachable for epsilon_manifold < 1/2
-            raise CutoffWaveError("trajectory does not span U = 1/2")
-        return hit[0] - solution.y_event
-    return math.log(2.0 * solution.u_c) / solution.v_star
+        n_iterations=n_iter, cutoff=cutoff, trajectory=traj,
+        y_event=record.y_event)
 
 
 def assemble_profile(solution: WaveSolution, y_min: float, y_max: float,

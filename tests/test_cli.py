@@ -279,6 +279,24 @@ def test_profile_half_frame(capsys):
     assert us[i0] == pytest.approx(0.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("frame", ["origin-at-uc", "origin-at-half"])
+def test_profile_builds_no_default_profile(capsys, monkeypatch, frame):
+    # the command samples its own grid: the solution's default profile
+    # is never read, so it is never assembled
+    calls = []
+    assemble = solver.assemble_profile
+
+    def assembled(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_profile", assembled)
+    code, out, _ = run_cli(capsys, "profile", "--uc", "0.2", "--samples",
+                           "101", "--frame", frame)
+    assert code == 0 and len(parse_csv(out)[1]) == 101
+    assert calls == []
+
+
 def test_profile_validation(capsys):
     code, _, _ = run_cli(capsys, "profile", "--uc", "0.5", "--y-min", "3",
                          "--y-max", "1")

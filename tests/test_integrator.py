@@ -118,7 +118,8 @@ def test_sample_array_equals_pointwise():
     # both zones, so the path spans the split at u_c; the grid holds the
     # ends and every segment start, where the segment lookup switches
     _, traj = _cutoff_path()
-    starts = [seg[0] for seg in traj._segments]
+    rows = traj._table().tolist()
+    starts = [seg[0] for seg in rows]
     ys = np.unique(np.concatenate([
         np.linspace(traj.y_start, traj.y_end, 997), starts,
         [traj.y_start, traj.y_end]]))
@@ -129,7 +130,7 @@ def test_sample_array_equals_pointwise():
         assert traj.sample(y) == (ai, bi)
         # the scalar Horner form of the segment, in the same float order
         i = max(bisect_right(starts, y) - 1, 0)
-        y0, h, w0, p0, *q = traj._segments[i]
+        y0, h, w0, p0, *q = rows[i]
         qw, qp = q[:4], q[4:]
         t = (y - y0) / h
         ea = math.exp(w0 + h * t * (qw[0] + t * (qw[1] + t * (qw[2]
@@ -195,7 +196,7 @@ def _find_alpha_by_scan(traj, target):
     if target <= 0.0:
         return None
     w_target = math.log(target)
-    segments = traj._segments
+    segments = traj._table().tolist()
     for i, (y0, h, w0, p0, *q) in enumerate(segments):
         last = i + 1 == len(segments)
         y_stop = traj.y_end if last else segments[i + 1][0]
@@ -216,12 +217,13 @@ def test_find_alpha_matches_segment_scan(reaction):
     v = 0.9
     start = unstable_manifold_start(cut, v)
     _, traj = trace_until_alpha(cut, v, start, 0.05)
-    y0, h, w0, _, *q = traj._segments[-1]
+    rows = traj._table().tolist()
+    y0, h, w0, _, *q = rows[-1]
     assert traj.y_end < y0 + h  # the last segment is cut at the event
     overrun = math.exp(integrator._quartic(w0, h, q[:4], 1.0))
     assert overrun < 0.05
     # levels whose logarithm is a segment's start w0 exactly
-    w_starts = {seg[2] for seg in traj._segments}
+    w_starts = {seg[2] for seg in rows}
     starts = [a for a in map(math.exp, sorted(w_starts, reverse=True))
               if math.log(a) in w_starts]
     assert len(starts) > 20

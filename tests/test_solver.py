@@ -208,8 +208,9 @@ def test_fit_rear_constant_recovers_plant():
     sol = solve_speed(make_cutoff(fisher(), 0.5))
     sol = type(sol)(u_c=sol.u_c, v_star=0.56, residual=sol.residual,
                     bracket=sol.bracket, n_iterations=sol.n_iterations,
-                    profile=plant, y_half=sol.y_half, cutoff=sol.cutoff,
-                    trajectory=sol.trajectory, y_event=sol.y_event)
+                    cutoff=sol.cutoff, trajectory=sol.trajectory,
+                    y_event=sol.y_event)
+    sol.profile = plant
     assert fit_rear_constant(sol) == pytest.approx(0.7, abs=1e-6)
 
 
@@ -226,8 +227,9 @@ def test_fit_rear_constant_needs_tail(fisher_half):
                     uprime=sol.profile.uprime[-40:])
     clone = type(sol)(u_c=sol.u_c, v_star=sol.v_star, residual=sol.residual,
                       bracket=sol.bracket, n_iterations=sol.n_iterations,
-                      profile=short, y_half=sol.y_half, cutoff=sol.cutoff,
-                      trajectory=sol.trajectory, y_event=sol.y_event)
+                      cutoff=sol.cutoff, trajectory=sol.trajectory,
+                      y_event=sol.y_event)
+    clone.profile = short
     with pytest.raises(InsufficientTail):
         fit_rear_constant(clone)
 
@@ -433,6 +435,39 @@ def test_sweep_row_is_one_speed_only_solve(monkeypatch):
     assert solver.solve_speed(cut, speed_only=True) == SpeedPoint(
         sol.u_c, sol.v_star, sol.residual, sol.n_iterations, sol.bracket)
     assert traced == [sol.v_star]
+
+
+def test_full_solve_builds_dense_output_on_first_read(monkeypatch):
+    # a full solve stops at the trajectory: the default profile, y_half
+    # and the coefficient table are built when first read, and kept
+    calls = {"assemble": 0, "sample": 0, "find_alpha": 0}
+
+    def counting(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    counting(solver, "assemble_profile", "assemble")
+    counting(solver.Trajectory, "sample", "sample")
+    counting(solver.Trajectory, "find_alpha", "find_alpha")
+    sol = solve_speed(make_cutoff(fisher(), 1e-3))
+    assert calls == {"assemble": 0, "sample": 0, "find_alpha": 0}
+    assert sol.trajectory._rows is None
+    profile = sol.profile
+    assert calls["assemble"] == 1 and profile.y.size == 1201
+    assert sol.profile is profile and calls["assemble"] == 1
+    y_half = sol.y_half
+    assert calls["find_alpha"] == 1
+    monkeypatch.undo()
+    assert y_half == sol.trajectory.find_alpha(0.5)[0] - sol.y_event
+    assert sol.y_half == y_half
+    # at u_c >= 1/2 the half point lies on the exponential tail
+    half = solve_speed(make_cutoff(fisher(), 0.5))
+    assert half.y_half == 0.0 and half.trajectory._rows is None
 
 
 ACCEPTANCE_GRID = sorted((float(u) for u in

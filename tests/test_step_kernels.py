@@ -10,10 +10,13 @@ recorded again once each search stage replayed its first shot's step
 grid, which moved speeds by at most 5.8e-15; the slope shots are still
 taken around the speeds found before.  The replayed shots were recorded
 while a replay still ran in a loop of its own beside the adaptive one.
-Floats are compared through ``float.hex``.
+The default profiles of full solves were recorded while each step still
+formed its dense-output coefficients as it was accepted.  Floats are
+compared through ``float.hex``.
 """
 
 import ast
+import hashlib
 import inspect
 import textwrap
 
@@ -301,6 +304,36 @@ PAST_GRID_END = {
     ("cubic", 1e-10, 0.1): ("-0x1.7e5cb6cd19d90p+32", 953, 0),
 }
 
+# (reaction, u_c) -> SHA-256 of the default 1,201-sample profile of a full
+# solve (its y, U and U' arrays, concatenated as little-endian doubles),
+# y_half and y_event as hex
+PROFILES = {
+    ("fisher", 0.9): (
+        "8fb1c5c7f7fba37c96ccfbcf19b3804d6a694c4d65b175783e909ad9d8f8f877",
+        "0x1.71a3792de31f2p+2", "0x1.5d7d8c059f75bp+4"),
+    ("fisher", 0.5): (
+        "42df321639b66eced89f1e4284b06f5f7ecf1388a4bdd2f6d2028b1b7cc9998d",
+        "0x0.0p+0", "0x1.dd1e655c82683p+4"),
+    ("fisher", 0.001): (
+        "0a04f0b319b4fea7d323bc1cf8e2967bc7d2a4af1b7f953c2ba242222da098c2",
+        "-0x1.f6da4a149dcd0p+2", "0x1.d9b3da25050d4p+5"),
+    ("fisher", 1e-08): (
+        "a4cfd5ac1b1cda864eba0564055f891390f3dee48fc2373bcb8105ff19c12745",
+        "-0x1.3c272434184dap+4", "0x1.29185c4fadef6p+6"),
+    ("cubic", 0.9): (
+        "4c9f57452141498b26b565a07010c17aec47d8b207a7d6773277143a603fc089",
+        "0x1.09e212c5d0937p+2", "0x1.ee434e2be2e2dp+3"),
+    ("cubic", 0.5): (
+        "ff82477d61695297c8c280e58e27a57c658fe456390a9d5c09cbf73cd8f375b3",
+        "0x0.0p+0", "0x1.4afce29eb62bap+4"),
+    ("cubic", 0.001): (
+        "ce091a82400c524680bc196129fd2b13fd2c5f1011f0e2eecb667ae485409c04",
+        "-0x1.a341fd2eab768p+2", "0x1.251baa7b9e9d5p+5"),
+    ("cubic", 1e-08): (
+        "30f941d5e77167c48a74200aed788774a731259416ed6e516cd01622ccf577c3",
+        "-0x1.1f94f41de392ep+4", "0x1.8942873e3b75fp+5"),
+}
+
 
 def _hex(*values):
     return tuple(float.hex(x) for x in values)
@@ -311,6 +344,16 @@ def test_speed_bits(name, u_c):
     point = solve_speed(make_cutoff(by_name(name), u_c), speed_only=True)
     assert _hex(point.v_star, *point.bracket,
                 point.residual) == SOLVE_BITS[name, u_c]
+
+
+@pytest.mark.parametrize("name,u_c", list(PROFILES))
+def test_full_solve_profile_bits(name, u_c):
+    sol = solve_speed(make_cutoff(by_name(name), u_c))
+    prof = sol.profile
+    data = np.concatenate([prof.y, prof.u, prof.uprime]).astype("<f8")
+    assert prof.y.size == 1201
+    assert (hashlib.sha256(data.tobytes()).hexdigest(),
+            *_hex(sol.y_half, sol.y_event)) == PROFILES[name, u_c]
 
 
 @pytest.mark.parametrize("name,u_c,tol", list(SLOPE_SHOTS))
@@ -362,6 +405,25 @@ def test_non_finite_reject_bits():
         "-0x1.00000000009a6p+0", "-0x1.0000000000072p+0",
         "-0x1.000000000072dp+0", "-0x1.0000000000486p+0",
         "-0x1.ffffffffffb2ap-1", "-0x1.fffffffffe14ep-1")
+
+
+def test_coefficient_table_equals_scalar_form():
+    # a read path sums each step's stage products in numpy, all rows at
+    # once; the scalar form, as the event step sums them, is the reference
+    cut = make_cutoff(fisher(), 1e-20)
+    _, traj = trace_until_alpha(cut, 0.0, unstable_manifold_start(cut, 0.0),
+                                1e-20)
+    straight = 0
+    for seg, row in zip(traj._segments, traj._table().tolist()):
+        y0, h, w0, p0, *k, line = seg
+        if line:  # the slopes of a straight segment are its coefficients
+            straight += 1
+            coefficients = (k[0], 0.0, 0.0, 0.0, k[6], 0.0, 0.0, 0.0)
+        else:
+            coefficients = (*integrator._dense(*k[:6]),
+                            *integrator._dense(*k[6:]))
+        assert _hex(*row) == _hex(y0, h, w0, p0, *coefficients)
+    assert straight == 1
 
 
 #: shots whose steps grow by the full factor 10 (a first step of 1e-12,
@@ -445,3 +507,20 @@ def test_step_loops_call_no_builtins(fn):
     called = {n.func.id for loop in loops for n in ast.walk(loop)
               if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
     assert not called & {"max", "min", "abs"}
+
+
+def test_y_step_loop_defers_dense_output():
+    """A step stores its stage values; the quartic coefficients are built
+    when the path is read.  In the loop only the event step, which bisects
+    its own interpolant, may form them."""
+    fn = integrator._Integration.advance_to_alpha
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    dense = {"_P1", "_P3", "_P4", "_P5", "_P6", "_P7", "_dense"}
+    loop, = [n for n in ast.walk(tree) if isinstance(n, ast.While)]
+    event, = [n for n in ast.walk(loop) if isinstance(n, ast.If)
+              and ast.unparse(n.test) == "w_new <= w_stop"]
+    in_event = {id(n) for n in ast.walk(event)}
+    named = [n for n in ast.walk(loop)
+             if isinstance(n, ast.Name) and n.id in dense]
+    assert named and all(id(n) in in_event for n in named)
+
