@@ -16,9 +16,9 @@ from .reaction import (BUILTIN_REACTIONS, CutoffReaction, ReactionSpec,
                        make_cutoff, v_upper_bound, validate_kpp)
 from .reference import (AsymptoticConstants, ReferenceWave,
                         fit_edge_constants, solve_reference)
-from .solver import (Profile, ShootingConfig, SpeedCurve, SpeedPoint,
-                     WaveSolution, assemble_profile, fit_rear_constant,
-                     shoot_residual, solve_speed, sweep)
+from .solver import (Profile, ShootingConfig, SpeedCurve, WaveSolution,
+                     assemble_profile, fit_rear_constant, shoot_residual,
+                     solve_speed, sweep)
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "IntegrationControl", "LargeUcPrediction", "MaxIterations",
     "NoSignChange", "PhaseState", "Profile", "ProfileTooShort",
     "ReactionSpec", "ReferenceWave", "ShootingConfig", "SmallUcPrediction",
-    "SpanExceeded", "SpeedCurve", "SpeedPoint", "StepFailure", "Trajectory",
+    "SpanExceeded", "SpeedCurve", "StepFailure", "Trajectory",
     "WaveSolution", "WindowTooNarrow", "assemble_profile", "by_name",
     "cubic_kpp", "fisher", "fit_edge_constants", "fit_rear_constant",
     "gamma_rate", "lambda_plus", "large_uc_phase_path", "large_uc_speed",

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,8 +25,7 @@ from .errors import CutoffWaveError
 from .integrator import IntegrationControl
 from .reaction import BUILTIN_REACTIONS, ReactionSpec, by_name, make_cutoff
 from .reference import AsymptoticConstants, fit_edge_constants, solve_reference
-from .solver import (ShootingConfig, SpeedPoint, snapped_grid, solve_speed,
-                     sweep)
+from .solver import ShootingConfig, snapped_grid, solve_speed, sweep
 
 _CONFIG_ENV = "PTW_CONFIG"
 _CONFIG_KEYS = ("reaction", "tol_ode", "tol_shoot", "epsilon_manifold")
@@ -33,6 +33,10 @@ _CONFIG_KEYS = ("reaction", "tol_ode", "tol_shoot", "epsilon_manifold")
 _DEFAULTS = ShootingConfig()
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+
+#: a speed row: these fields of a solution, which are also its columns
+_SPEED_COLUMNS = ("u_c", "v_star", "residual", "n_iterations")
+_speed_row = attrgetter(*_SPEED_COLUMNS)
 
 
 class UsageError(Exception):
@@ -181,33 +185,32 @@ def _make_grid(uc_min: float, uc_max: float, count: int,
 # ---------------------------------------------------------------------------
 # speed rows: a continuation sweep, or independent solves in worker processes
 
-def _solve_row(payload: tuple) -> tuple[SpeedPoint, str | None]:
+def _solve_row(payload: tuple) -> tuple[tuple, str | None]:
     name, u_c, config = payload
     try:
-        return solve_speed(make_cutoff(by_name(name), u_c), None, config,
-                           speed_only=True), None
+        return _speed_row(solve_speed(make_cutoff(by_name(name), u_c), None,
+                                      config)), None
     except CutoffWaveError as exc:
-        return (SpeedPoint(u_c, math.nan, math.nan, 0),
-                f"{type(exc).__name__}: {exc}")
+        return (u_c, math.nan, math.nan, 0), f"{type(exc).__name__}: {exc}"
 
 
 def _solve_rows(name: str, reaction: ReactionSpec, config: ShootingConfig,
                 values: list[float], jobs: int,
-                ) -> tuple[list[SpeedPoint], dict[float, str]]:
+                ) -> tuple[list[tuple], dict[float, str]]:
     """Speed rows for descending thresholds, failures kept alongside.
 
     One job runs the warm-started ``sweep``; more solve every row cold
-    in a pool of at most one worker per row (reactions travel by name,
-    since a ReactionSpec need not pickle).
+    in a pool of at most one worker per row (reactions travel by name
+    and rows as tuples, since neither a reaction nor a solution pickles).
     """
     if jobs == 1:
         curve = sweep(reaction, values, config)
-        return curve.rows, curve.failures
+        return list(map(_speed_row, curve.rows)), curve.failures
     with ProcessPoolExecutor(max_workers=min(jobs, len(values))) as pool:
         results = list(pool.map(_solve_row,
                                 [(name, u, config) for u in values]))
     return ([row for row, _ in results],
-            {row.u_c: err for row, err in results if err is not None})
+            {row[0]: err for row, err in results if err is not None})
 
 
 def _report(failures: dict[float, str]) -> int:
@@ -221,11 +224,9 @@ def _report(failures: dict[float, str]) -> int:
 
 def _cmd_solve(args, name, reaction, config) -> int:
     u_c = _check_uc(args.uc)
-    sol = solve_speed(make_cutoff(reaction, u_c), None, config,
-                      speed_only=True)
-    _write(["u_c", "v_star", "residual", "n_iterations", "bracket"],
-           [(sol.u_c, sol.v_star, sol.residual, sol.n_iterations,
-             sol.bracket)], args.format, args.output, one=True)
+    sol = solve_speed(make_cutoff(reaction, u_c), None, config)
+    _write([*_SPEED_COLUMNS, "bracket"], [(*_speed_row(sol), sol.bracket)],
+           args.format, args.output, one=True)
     return 0
 
 
@@ -235,9 +236,7 @@ def _cmd_sweep(args, name, reaction, config) -> int:
     _check_jobs(args.jobs)
     values = _make_grid(args.uc_min, args.uc_max, args.count, args.spacing)
     rows, failures = _solve_rows(name, reaction, config, values, args.jobs)
-    _write(["u_c", "v_star", "residual", "n_iterations"],
-           [(r.u_c, r.v_star, r.residual, r.n_iterations) for r in rows],
-           args.format, args.output)
+    _write(_SPEED_COLUMNS, rows, args.format, args.output)
     return _report(failures)
 
 
@@ -323,11 +322,10 @@ def _cmd_compare(args, name, reaction, config) -> int:
     rows, failures = _solve_rows(name, reaction, config, values, args.jobs)
 
     table = []
-    for row in rows:
-        v = row.v_star
-        small = small_uc_speed(row.u_c, constants)
-        large = large_uc_speed(row.u_c, reaction)
-        table.append((row.u_c, v, small.two_term, small.three_term,
+    for u_c, v, *_ in rows:
+        small = small_uc_speed(u_c, constants)
+        large = large_uc_speed(u_c, reaction)
+        table.append((u_c, v, small.two_term, small.three_term,
                       large.one_term, large.two_term, v - small.two_term,
                       v - small.three_term, v - large.two_term))
     _write(_COMPARE_HEADER, table, args.format, args.output)

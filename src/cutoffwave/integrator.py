@@ -19,9 +19,9 @@ the stepper reads and writes (alpha, beta) = (e^w, e^w * p); the dense
 output is read back by ``Trajectory.sample`` at one y or an array of y.
 Every accepted step stores its stage values, and the quartic coefficients
 are built from them, for all steps at once, when the path is first read:
-the y-stepper serves only callers that may read the path (a full solve,
-profiles, the reference wave), and a path that is never read never pays
-for its dense output.
+the y-stepper serves only callers that read the path (a solution's
+profile, the reference wave), and a solution whose path is never read
+never shoots it.
 
 Threshold crossings (alpha reaching a target level, i.e. w reaching its
 logarithm) are terminal events, localized by bisection on the

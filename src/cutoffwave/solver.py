@@ -34,13 +34,13 @@ replay (see ``shoot_slope``): within a stage the search value is then
 one function of v, and a shot costs its stage arithmetic alone until a
 step fails the error test.  A cold search below u_c = 1e-3 opens at the
 paper's two-term speed 2 - pi^2/(ln u_c)^2 instead of [0, 2].
-The residual criterion is then checked at the final midpoint: stopping
-on r alone cannot pin the speed for small u_c, since r carries the
-factor u_c.  r changes sign across stage 2's final bracket, whose ends
-were shot at the caller's tolerance on one grid, so the end further from
-zero bounds r(v*) with no shot at v*.  Only a full solve steps in y, with
-``trace_until_alpha``, for the dense path of its profile, which is built
-when first read.
+The search stops on the bracket width, not on r: r carries the factor
+u_c, so it cannot pin the speed for small u_c.  r changes sign across
+stage 2's final bracket, whose ends were shot at the caller's tolerance
+on one grid, so the end further from zero bounds r(v*) and is held to
+the residual criterion.  No search shot steps in y: the dense path of a
+solution's profile is shot at v* with ``trace_until_alpha`` when first
+read.
 ``sweep`` seeds each row's bracket by a secant through the last two
 speeds in ln u_c, padded by a multiple of the last prediction's miss.
 """
@@ -134,8 +134,8 @@ class Profile:
 class WaveSolution:
     """A solved wave: its speed, bracket and residual, and its dense path.
 
-    ``profile`` (1,201 samples) and ``y_half`` are computed from the
-    trajectory when first read and kept; either may be assigned.
+    ``trajectory``, ``profile`` (1,201 samples) and ``y_half`` are
+    computed when first read and kept; the last two may be assigned.
     """
 
     u_c: float
@@ -144,8 +144,35 @@ class WaveSolution:
     bracket: tuple[float, float]
     n_iterations: int
     cutoff: CutoffReaction = field(repr=False)
-    trajectory: Trajectory = field(repr=False)
-    y_event: float = field(repr=False)
+    config: ShootingConfig = field(repr=False)
+
+    @cached_property
+    def trajectory(self) -> Trajectory:
+        """The dense path at v*, shot in y with the solve's settings.
+
+        Raises MaxIterations when the shot turns before the threshold or
+        its residual u_c*(p + v*) misses ``config.residual_tol``.
+        """
+        v, config = self.v_star, self.config
+        start = unstable_manifold_start(self.cutoff, v,
+                                        config.epsilon_manifold)
+        try:
+            record, traj = trace_until_alpha(self.cutoff, v, start, self.u_c,
+                                             config.control)
+        except SpanExceeded:
+            miss = math.inf
+        else:
+            miss = abs(self.u_c * (record.log_slope + v))
+        if miss > config.residual_tol:
+            raise MaxIterations(
+                f"dense path at v*={v!r}: residual {miss:.3e} exceeds "
+                f"{config.residual_tol:g}")
+        return traj
+
+    @property
+    def y_event(self) -> float:
+        """y of the threshold crossing on ``trajectory``, which ends there."""
+        return self.trajectory.y_end
 
     @cached_property
     def profile(self) -> Profile:
@@ -182,19 +209,9 @@ class WaveSolution:
         return u, up
 
 
-@dataclass(frozen=True)
-class SpeedPoint:
-    u_c: float
-    v_star: float
-    residual: float
-    n_iterations: int
-    #: the final speed bracket; NaN for a row that failed
-    bracket: tuple[float, float] = (math.nan, math.nan)
-
-
 @dataclass
 class SpeedCurve:
-    rows: list[SpeedPoint]
+    rows: list[WaveSolution]
     failures: dict[float, str] = field(default_factory=dict)
 
 
@@ -328,8 +345,7 @@ def _widen(f: Callable[[float], float], lo: float, hi: float, vub: float,
 
 def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
                 config: ShootingConfig | None = None, *,
-                pad: float = _BRACKET_PAD, speed_only: bool = False,
-                ) -> WaveSolution | SpeedPoint:
+                pad: float = _BRACKET_PAD) -> WaveSolution:
     """Find the unique wave speed v*(u_c) by a two-stage Brent search.
 
     A guess seeds a bracket of half-width ``pad`` (no guess: 2 - pi^2/L^2
@@ -351,11 +367,10 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     ``config.residual_tol``, and ValueError when u_c is not below
     1 - epsilon_manifold.
 
-    With ``speed_only`` a :class:`SpeedPoint`, bracket included, is
-    returned and no shot steps in y; otherwise a dense y-shot at v*,
-    held to the same criterion, gives a :class:`WaveSolution` with its
-    trajectory.  Its 1,201-sample profile and ``y_half`` are computed
-    when first read, as are the trajectory's dense-output coefficients.
+    The solve ends with the search: no shot steps in y.  The returned
+    :class:`WaveSolution` shoots its dense path at v* when ``trajectory``,
+    ``y_event``, ``profile`` or ``y_half`` is first read, and that read
+    raises MaxIterations if the path turns or misses the same criterion.
     """
     if config is None:
         config = ShootingConfig()
@@ -402,28 +417,12 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     gap = (math.tan(g) if g != TURNED_SENTINEL
            else _gap(cutoff, v_star, config))
     residual = math.inf if gap is None else cutoff.u_c * gap
-    worst = abs(residual)
-    if not speed_only:
-        start = unstable_manifold_start(cutoff, v_star,
-                                        config.epsilon_manifold)
-        try:
-            record, traj = trace_until_alpha(cutoff, v_star, start,
-                                             cutoff.u_c, config.control)
-        except SpanExceeded:
-            worst = math.inf
-        else:
-            worst = max(worst, abs(cutoff.u_c * (record.log_slope + v_star)))
-    if worst > config.residual_tol:
+    if abs(residual) > config.residual_tol:
         raise MaxIterations(
-            f"residual {worst:.3e} exceeds {config.residual_tol:g} after "
-            f"{n_iter} search shots (bracket width {hi - lo:.3e})")
-    if speed_only:
-        return SpeedPoint(cutoff.u_c, v_star, residual, n_iter, (lo, hi))
-
-    return WaveSolution(
-        u_c=cutoff.u_c, v_star=v_star, residual=residual, bracket=(lo, hi),
-        n_iterations=n_iter, cutoff=cutoff, trajectory=traj,
-        y_event=record.y_event)
+            f"residual {abs(residual):.3e} exceeds {config.residual_tol:g} "
+            f"after {n_iter} search shots (bracket width {hi - lo:.3e})")
+    return WaveSolution(cutoff.u_c, v_star, residual, (lo, hi), n_iter,
+                        cutoff, config)
 
 
 def assemble_profile(solution: WaveSolution, y_min: float, y_max: float,
@@ -464,10 +463,10 @@ def sweep(reaction: ReactionSpec, u_c_values: Sequence[float],
     the secant through the last two solved speeds in ln u_c, clipped
     to at most 2, and the pad is ``_MISS_FACTOR`` times the last
     solved row's miss |guess - v*|, at least ``_MIN_SECANT_PAD``;
-    ``solve_speed`` widens a bracket that misses.  Each row calls
-    ``solve_speed`` once, for the speed alone.  Rows that fail keep
-    their place with NaN entries and the failure message is kept
-    alongside.
+    ``solve_speed`` widens a bracket that misses.  Each row is the
+    solution of one ``solve_speed`` call; its path is shot only if read.
+    Rows that fail keep their place with NaN entries and the failure
+    message is kept alongside.
     """
     if config is None:
         config = ShootingConfig()
@@ -477,21 +476,22 @@ def sweep(reaction: ReactionSpec, u_c_values: Sequence[float],
     if any(b >= a for a, b in zip(values, values[1:])):
         raise ValueError("thresholds must be strictly descending")
 
-    rows: list[SpeedPoint] = []
+    rows: list[WaveSolution] = []
     failures: dict[float, str] = {}
-    solved: list[SpeedPoint] = []  # the last two rows that solved
+    solved: list[WaveSolution] = []  # the last two rows that solved
     guess, pad = 2.0, _BRACKET_PAD
     for u_c in values:
         if len(solved) == 2:
             (u0, v0), (u1, v1) = [(r.u_c, r.v_star) for r in solved]
             guess = min(v1 + (v1 - v0) * math.log(u_c / u1)
                         / math.log(u1 / u0), _SPEED_CAP)
+        cutoff = make_cutoff(reaction, u_c)
         try:
-            row = solve_speed(make_cutoff(reaction, u_c), guess, config,
-                              pad=pad, speed_only=True)
+            row = solve_speed(cutoff, guess, config, pad=pad)
         except CutoffWaveError as exc:
             failures[u_c] = f"{type(exc).__name__}: {exc}"
-            rows.append(SpeedPoint(u_c, math.nan, math.nan, 0))
+            rows.append(WaveSolution(u_c, math.nan, math.nan,
+                                     (math.nan, math.nan), 0, cutoff, config))
             continue
         rows.append(row)
         solved = [*solved[-1:], row]

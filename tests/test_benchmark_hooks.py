@@ -25,7 +25,7 @@ def test_tracer_patches_and_restores_its_targets(tracer):
     trace = tracer.Tracer("solver.solve_speed")
     with trace.installed():
         patched = list(trace._patches)
-        solver.solve_speed(make_cutoff(fisher(), 0.5))
+        solver.solve_speed(make_cutoff(fisher(), 0.5)).trajectory
     names = {(owner.__name__, attr) for owner, attr, _ in patched}
     assert {("cutoffwave.solver", "trace_until_alpha"),
             ("cutoffwave.reference", "trace_field_until_alpha"),

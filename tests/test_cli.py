@@ -8,8 +8,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import cutoffwave
-from cutoffwave import (assemble_profile, cli, fisher, make_cutoff,
-                        solve_speed, solver)
+from cutoffwave import (ShootingConfig, SpanExceeded, assemble_profile, cli,
+                        fisher, make_cutoff, solve_speed, solver)
 from cutoffwave.cli import main
 
 
@@ -295,6 +295,29 @@ def test_profile_builds_no_default_profile(capsys, monkeypatch, frame):
                            "101", "--frame", frame)
     assert code == 0 and len(parse_csv(out)[1]) == 101
     assert calls == []
+
+
+def test_profile_dense_path_failure_exit(capsys, monkeypatch):
+    # the dense path is shot when profile first reads it; a path that
+    # turns fails that read, which is a numerical failure
+    def turned(*args):
+        raise SpanExceeded("trajectory turned")
+
+    monkeypatch.setattr(solver, "trace_until_alpha", turned)
+    code, out, err = run_cli(capsys, "profile", "--uc", "0.3")
+    assert code == 3 and out == ""
+    assert "MaxIterations" in err and "dense path" in err
+
+
+def test_failed_row_same_from_sweep_and_worker():
+    # a failed row keeps its place with NaN speed and residual and no
+    # shots, whether the warm sweep or a --jobs worker solved it
+    config = ShootingConfig(residual_tol=1e-18)
+    row, err = cli._solve_row(("fisher", 0.5, config))
+    assert err.startswith("MaxIterations")
+    rows, failures = cli._solve_rows("fisher", fisher(), config, [0.5], 1)
+    assert failures == {0.5: err}
+    assert repr(rows) == repr([row]) == repr([(0.5, math.nan, math.nan, 0)])
 
 
 def test_profile_validation(capsys):

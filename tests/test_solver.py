@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cutoffwave import (InsufficientTail, MaxIterations, NoSignChange,
-                        Profile, ReactionSpec, ShootingConfig, SpeedPoint,
+                        Profile, ReactionSpec, ShootingConfig, WaveSolution,
                         assemble_profile, by_name, cubic_kpp, fisher,
                         fit_rear_constant, lambda_plus, make_cutoff,
                         shoot_residual, small_uc_speed, solve_speed, sweep,
@@ -134,9 +135,10 @@ def test_threshold_at_manifold_start_refused():
 def test_only_final_shot_keeps_path(monkeypatch):
     shots = _spy_controls(monkeypatch)
     sol = solve_speed(make_cutoff(fisher(), 0.3))
+    path = sol.trajectory  # the dense shot runs on this first read
     kept = [n for _, n in shots]
     assert len(kept) == sol.n_iterations + 3  # two bracket shots
-    assert kept[-1] == len(sol.trajectory) > 0
+    assert kept[-1] == len(path) > 0
     assert not any(kept[:-1])
 
 
@@ -205,11 +207,8 @@ def test_fit_rear_constant_recovers_plant():
     y = np.linspace(-30.0, -5.0, 400)
     u = 1.0 - 0.7 * np.exp(lam * y)
     plant = Profile(y=y, u=u, uprime=np.gradient(u, y))
-    sol = solve_speed(make_cutoff(fisher(), 0.5))
-    sol = type(sol)(u_c=sol.u_c, v_star=0.56, residual=sol.residual,
-                    bracket=sol.bracket, n_iterations=sol.n_iterations,
-                    cutoff=sol.cutoff, trajectory=sol.trajectory,
-                    y_event=sol.y_event)
+    sol = dataclasses.replace(solve_speed(make_cutoff(fisher(), 0.5)),
+                              v_star=0.56)
     sol.profile = plant
     assert fit_rear_constant(sol) == pytest.approx(0.7, abs=1e-6)
 
@@ -225,10 +224,7 @@ def test_fit_rear_constant_needs_tail(fisher_half):
     sol = fisher_half
     short = Profile(y=sol.profile.y[-40:], u=sol.profile.u[-40:],
                     uprime=sol.profile.uprime[-40:])
-    clone = type(sol)(u_c=sol.u_c, v_star=sol.v_star, residual=sol.residual,
-                      bracket=sol.bracket, n_iterations=sol.n_iterations,
-                      cutoff=sol.cutoff, trajectory=sol.trajectory,
-                      y_event=sol.y_event)
+    clone = dataclasses.replace(sol)
     clone.profile = short
     with pytest.raises(InsufficientTail):
         fit_rear_constant(clone)
@@ -273,8 +269,7 @@ def test_nan_guess_or_pad_opens_the_cold_bracket(guess, pad):
     # as an out-of-range guess does, where [0, nan] used to end in
     # StepFailure
     cut = make_cutoff(fisher(), 0.5)
-    assert (solve_speed(cut, guess, pad=pad, speed_only=True)
-            == solve_speed(cut, speed_only=True))
+    assert solve_speed(cut, guess, pad=pad) == solve_speed(cut)
 
 
 def _bisection_shots(f, lo, hi):
@@ -402,9 +397,10 @@ def test_sweep_rejects_bad_order(fisher_spec):
         sweep(fisher_spec, [0.5, 1.5])
 
 
-def test_sweep_row_is_one_speed_only_solve(monkeypatch):
+def test_sweep_row_is_one_solve_with_lazy_path(monkeypatch):
     # a caller that wraps solver.solve_speed sees each sweep row as one
-    # call, and no row steps in y: the residual comes from the bracket
+    # call, and no row steps in y until its path is read: the residual
+    # comes from the bracket
     calls, traced = [], []
     solve, trace = solver.solve_speed, solver.trace_until_alpha
 
@@ -423,23 +419,72 @@ def test_sweep_row_is_one_speed_only_solve(monkeypatch):
     assert not curve.failures
     assert calls == values
     assert traced == []
-    assert all(type(row) is SpeedPoint for row in curve.rows)
+    assert all(type(row) is WaveSolution for row in curve.rows)
+    row = curve.rows[2]
+    assert len(row.trajectory) > 0 and traced == [row.v_star]
 
-    # called as before, solve_speed still builds the whole solution
+    # called alone, solve_speed gives the same kind of result, whose
+    # whole solution is built when read
     cut = make_cutoff(fisher(), 0.1)
     sol = solver.solve_speed(cut)
-    assert traced == [sol.v_star]
+    assert traced == [row.v_star]
     assert len(sol.trajectory) > 0
     assert sol.profile.y.size == sol.profile.u.size == 1201
     assert sol.y_half < 0.0 and sol.trajectory.find_alpha(0.5) is not None
-    assert solver.solve_speed(cut, speed_only=True) == SpeedPoint(
-        sol.u_c, sol.v_star, sol.residual, sol.n_iterations, sol.bracket)
-    assert traced == [sol.v_star]
+    assert solver.solve_speed(cut) == sol
+    assert traced == [row.v_star, sol.v_star]
+
+
+_PATH_READS = ["trajectory", "y_event", "profile", "y_half"]
+
+
+@pytest.mark.parametrize("attr", _PATH_READS)
+def test_path_is_shot_once_on_first_read(monkeypatch, attr):
+    # the solve ends with the search; the first read of any part of the
+    # path shoots it at v* with the solve's own control, and no later
+    # read shoots again (y_half reads the path below u_c = 1/2)
+    traced = []
+    trace = solver.trace_until_alpha
+
+    def tracing(cutoff, v, start, level, control):
+        traced.append((v, control))
+        return trace(cutoff, v, start, level, control)
+
+    monkeypatch.setattr(solver, "trace_until_alpha", tracing)
+    config = ShootingConfig(control=IntegrationControl(tol=1e-11))
+    sol = solve_speed(make_cutoff(fisher(), 0.3), config=config)
+    assert traced == []
+    getattr(sol, attr)
+    assert traced == [(sol.v_star, config.control)]
+    for name in _PATH_READS:
+        getattr(sol, name)
+    assert len(traced) == 1
+
+
+@pytest.mark.parametrize("fault", ["turned", "missed"])
+def test_dense_path_failure_raises_on_first_read(monkeypatch, fault):
+    # the y-shot at v* is held to the residual criterion where it runs,
+    # on the first read of the path; solve_speed returns the speed
+    trace = solver.trace_until_alpha
+
+    def faulty(cutoff, v, start, level, control):
+        if fault == "turned":
+            raise SpanExceeded("trajectory turned")
+        record, path = trace(cutoff, v, start, level, control)
+        return (dataclasses.replace(record,
+                                    log_slope=record.log_slope + 1e-3), path)
+
+    monkeypatch.setattr(solver, "trace_until_alpha", faulty)
+    sol = solve_speed(make_cutoff(fisher(), 0.3))
+    assert abs(sol.residual) <= ShootingConfig().residual_tol
+    for attr in _PATH_READS:
+        with pytest.raises(MaxIterations, match="dense path"):
+            getattr(sol, attr)
 
 
 def test_full_solve_builds_dense_output_on_first_read(monkeypatch):
-    # a full solve stops at the trajectory: the default profile, y_half
-    # and the coefficient table are built when first read, and kept
+    # a solve stops at the search: the trajectory, the default profile,
+    # y_half and the coefficient table are built when first read, and kept
     calls = {"assemble": 0, "sample": 0, "find_alpha": 0}
 
     def counting(owner, attr, key):
@@ -593,6 +638,7 @@ def test_coarse_stage_then_caller_tolerance(monkeypatch, reaction):
     shots = _spy_controls(monkeypatch)
     config = ShootingConfig()
     sol = solve_speed(make_cutoff(reaction(), 1e-10), config=config)
+    sol.trajectory  # the dense shot runs on the first read
     controls = [c for c, _ in shots]
     n_coarse = sum(c != config.control for c in controls)
     assert n_coarse >= 2
@@ -619,6 +665,7 @@ def test_loose_tolerance_skips_coarse_stage(monkeypatch, tol):
     control = IntegrationControl(tol=tol)
     sol = solve_speed(make_cutoff(fisher(), 1e-3),
                       config=ShootingConfig(control=control))
+    sol.trajectory  # the dense shot runs on the first read
     assert len(shots) == sol.n_iterations + 3
     if tol < solver._COARSE_TOL:
         assert floors == [solver._FINE_HALF_WIDTH,
@@ -635,7 +682,7 @@ def test_few_shots_at_caller_tolerance(monkeypatch, reaction, u_c, most):
     # about 5e-9 of v*, so few shots at the caller's tolerance remain
     shots = _spy_controls(monkeypatch)
     config = ShootingConfig()
-    solve_speed(make_cutoff(reaction(), u_c), config=config)
+    solve_speed(make_cutoff(reaction(), u_c), config=config).trajectory
     fine = [n for c, n in shots if c == config.control]
     assert fine[-1] > 0 and not any(fine[:-1])  # the final shot is dense
     assert len(fine) - 1 <= most
@@ -666,7 +713,7 @@ def test_cold_speed_unchanged_by_coarse_stage(name, u_c):
 def test_cold_bracket_seeded_by_two_term_speed(name, u_c):
     # with no guess a small threshold opens at 2 - pi^2/L^2 +- 40/|L|^3,
     # not on [0, 2]: 17-30 search shots without the seed
-    point = solve_speed(make_cutoff(by_name(name), u_c), speed_only=True)
+    point = solve_speed(make_cutoff(by_name(name), u_c))
     assert point.n_iterations <= 13
     assert abs(point.v_star - COLD_SPEEDS[name, u_c]) <= 1e-13
 

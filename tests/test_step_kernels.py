@@ -341,7 +341,7 @@ def _hex(*values):
 
 @pytest.mark.parametrize("name,u_c", list(SOLVE_BITS))
 def test_speed_bits(name, u_c):
-    point = solve_speed(make_cutoff(by_name(name), u_c), speed_only=True)
+    point = solve_speed(make_cutoff(by_name(name), u_c))
     assert _hex(point.v_star, *point.bracket,
                 point.residual) == SOLVE_BITS[name, u_c]
 
