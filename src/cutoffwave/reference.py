@@ -63,25 +63,20 @@ def solve_reference(reaction: ReactionSpec,
     """Integrate the no-cut-off system at v = 2 down to U = 1e-14.
 
     Starts on the saddle's unstable manifold (the branch entering the
-    front region has negative slope), locates U = 1/2 by event detection
-    and shifts the origin there.
+    front region has negative slope) and shifts the origin to U = 1/2.
     """
     v = _MIN_SPEED
     eps = _MANIFOLD_OFFSET
     start = PhaseState(1.0 - eps, -lambda_plus(reaction, v) * eps)
-    half, front = trace_field_until_alpha(reaction.f, v, start, 0.5, control)
-    _, edge = trace_field_until_alpha(reaction.f, v, half.state, _FLOOR,
-                                      control, y0=half.y_event)
-    front.extend(edge)
-    y_shift = half.y_event
-
-    y_last = front.find_alpha(_PROFILE_FLOOR)[0]
-    grid = snapped_grid(front.y_start - y_shift, y_last - y_shift,
+    _, path = trace_field_until_alpha(reaction.f, v, start, _FLOOR, control)
+    y_shift = path.find_alpha(0.5)[0]
+    y_last = path.find_alpha(_PROFILE_FLOOR)[0]
+    grid = snapped_grid(path.y_start - y_shift, y_last - y_shift,
                         _PROFILE_SAMPLES)
-    u, up = front.sample(grid + y_shift)
+    u, up = path.sample(grid + y_shift)
     return ReferenceWave(profile=Profile(y=grid, u=u, uprime=up),
                          y_shift=y_shift, reaction=reaction,
-                         trajectory=front)
+                         trajectory=path)
 
 
 def fit_edge_constants(wave: ReferenceWave,

@@ -38,9 +38,9 @@ The search stops on the bracket width, not on r: r carries the factor
 u_c, so it cannot pin the speed for small u_c.  r changes sign across
 stage 2's final bracket, whose ends were shot at the caller's tolerance
 on one grid, so the end further from zero bounds r(v*) and is held to
-the residual criterion.  No search shot steps in y: the dense path of a
-solution's profile is shot at v* with ``trace_until_alpha`` when first
-read.
+the residual criterion.  No search shot keeps its path: the dense path
+of a solution's profile is shot at v* with ``trace_until_alpha``, the
+same step loop keeping its steps, when first read.
 ``sweep`` seeds each row's bracket by a secant through the last two
 speeds in ln u_c, padded by a multiple of the last prediction's miss.
 """
@@ -146,14 +146,21 @@ class WaveSolution:
     cutoff: CutoffReaction = field(repr=False)
     config: ShootingConfig = field(repr=False)
 
+    def _speed(self) -> float:
+        if math.isnan(self.v_star):
+            raise CutoffWaveError(f"u_c={self.u_c!r} has no solved speed: "
+                                  "its solve failed")
+        return self.v_star
+
     @cached_property
     def trajectory(self) -> Trajectory:
-        """The dense path at v*, shot in y with the solve's settings.
+        """The dense path at v*, shot with the solve's settings.
 
         Raises MaxIterations when the shot turns before the threshold or
-        its residual u_c*(p + v*) misses ``config.residual_tol``.
+        its residual u_c*(p + v*) misses ``config.residual_tol``, and
+        CutoffWaveError on a failed sweep row, whose speed is NaN.
         """
-        v, config = self.v_star, self.config
+        v, config = self._speed(), self.config
         start = unstable_manifold_start(self.cutoff, v,
                                         config.epsilon_manifold)
         try:
@@ -190,7 +197,7 @@ class WaveSolution:
             if hit is None:  # unreachable for epsilon_manifold < 1/2
                 raise CutoffWaveError("trajectory does not span U = 1/2")
             return hit[0] - self.y_event
-        return math.log(2.0 * self.u_c) / self.v_star
+        return math.log(2.0 * self.u_c) / self._speed()
 
     def sample(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(U, U') on a 1-D array of y, with the threshold at y = 0.
@@ -367,7 +374,7 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     ``config.residual_tol``, and ValueError when u_c is not below
     1 - epsilon_manifold.
 
-    The solve ends with the search: no shot steps in y.  The returned
+    The solve ends with the search: no shot keeps its path.  The returned
     :class:`WaveSolution` shoots its dense path at v* when ``trajectory``,
     ``y_event``, ``profile`` or ``y_half`` is first read, and that read
     raises MaxIterations if the path turns or misses the same criterion.

@@ -54,7 +54,7 @@ def test_solve_json(capsys):
 
 def test_solve_skips_the_dense_shot(capsys, monkeypatch):
     # solve prints only the speed and its bracket: no profile is built
-    # and no shot steps in y
+    # and no dense path is shot
     profiles, traced = [], []
     assemble, trace = solver.assemble_profile, solver.trace_until_alpha
 

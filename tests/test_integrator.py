@@ -1,12 +1,11 @@
 import math
-from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from cutoffwave import (IntegrationControl, PhaseState, ReactionSpec,
                         SpanExceeded, StepFailure, Trajectory, by_name,
-                        cubic_kpp, fisher, make_cutoff,
+                        cubic_kpp, fisher, lambda_plus, make_cutoff,
                         trace_field_until_alpha, trace_until_alpha,
                         unstable_manifold_start)
 from cutoffwave import integrator
@@ -118,28 +117,41 @@ def test_sample_array_equals_pointwise():
     # both zones, so the path spans the split at u_c; the grid holds the
     # ends and every segment start, where the segment lookup switches
     _, traj = _cutoff_path()
-    rows = traj._table().tolist()
-    starts = [seg[0] for seg in rows]
+    rows = traj._table()
+    nodes = traj._y(rows[:, 0], rows[:, 2])
     ys = np.unique(np.concatenate([
-        np.linspace(traj.y_start, traj.y_end, 997), starts,
+        np.linspace(traj.y_start, traj.y_end, 997), nodes,
         [traj.y_start, traj.y_end]]))
     assert ys[0] == traj.y_start and ys[-1] == traj.y_end
     a, b = traj.sample(ys)
     assert a.shape == b.shape == ys.shape
     for y, ai, bi in zip(ys.tolist(), a.tolist(), b.tolist()):
         assert traj.sample(y) == (ai, bi)
-        # the scalar Horner form of the segment, in the same float order
-        i = max(bisect_right(starts, y) - 1, 0)
-        y0, h, w0, p0, *q = rows[i]
-        qw, qp = q[:4], q[4:]
-        t = (y - y0) / h
-        ea = math.exp(w0 + h * t * (qw[0] + t * (qw[1] + t * (qw[2]
-                                                             + t * qw[3]))))
-        eb = ea * (p0 + h * t * (qp[0] + t * (qp[1] + t * (qp[2]
-                                                          + t * qp[3]))))
-        assert (ai, bi) == (ea, eb)
+    assert np.all(np.diff(a) < 0.0) and np.all(b < 0.0)
+    # a segment's start y is that of its t-node
+    at_nodes = traj.sample(nodes)
+    t, p = rows[:, 0], rows[:, 3]
+    assert np.allclose(at_nodes[0], np.exp(-t), rtol=1e-14, atol=0.0)
+    assert np.allclose(at_nodes[1], np.exp(-t) * p, rtol=1e-13, atol=0.0)
     empty = traj.sample(np.empty(0))
     assert empty[0].size == 0 and empty[1].size == 0
+
+
+@pytest.mark.parametrize("u_c,v", [(0.9, 0.1), (0.3, 0.85), (1e-8, 1.97)])
+def test_sample_inverts_find_alpha(u_c, v):
+    # sampling at the y of a level gives the level back, next to the
+    # saddle (1 - U resolved relative) as far as the threshold
+    cut = make_cutoff(fisher(), u_c)
+    _, traj = trace_until_alpha(cut, v, unstable_manifold_start(cut, v), u_c)
+    gaps = np.geomspace(1e-9, 0.5, 60)
+    levels = [*(1.0 - gaps).tolist(), *np.geomspace(0.5, 1e-8, 60).tolist()]
+    for level in (x for x in levels if x >= u_c):
+        y, a, b = traj.find_alpha(level)
+        sa, sb = traj.sample(y)
+        if level > 0.5:
+            assert abs(sa - a) <= 5e-14 * (1.0 - level)
+        assert sa == pytest.approx(a, rel=1e-13)
+        assert sb == pytest.approx(b, rel=1e-13)
 
 
 def test_sample_array_range_check():
@@ -190,24 +202,21 @@ def test_find_alpha_respects_event_split():
 
 
 def _find_alpha_by_scan(traj, target):
-    """find_alpha as a plain scan: the first segment whose w runs from
-    above the level to at or below it within its kept part, the last
-    segment ending at the level the path was traced to."""
-    if target <= 0.0:
+    """find_alpha as a plain scan: the segment whose t-span holds
+    t = -ln target, read there with the scalar formula; the level the
+    path was traced to is read at its end."""
+    if target <= 0.0 or not len(traj):
         return None
-    w_target = math.log(target)
-    segments = traj._table().tolist()
-    for i, (y0, h, w0, p0, *q) in enumerate(segments):
-        last = i + 1 == len(segments)
-        y_stop = traj.y_end if last else segments[i + 1][0]
-        t_max = min(1.0, (y_stop - y0) / h)
-        w1 = integrator._quartic(w0, h, q[:4], t_max)
-        if last:
-            w1 = min(w1, traj._w_end)
-        if w0 >= w_target >= w1:
-            t = integrator._bisect_theta(w0, h, q[:4], w_target, t_max)
-            a = math.exp(integrator._quartic(w0, h, q[:4], t))
-            return y0 + t * h, a, a * integrator._quartic(p0, h, q[4:], t)
+    t = -math.log(target)
+    t_end, _, p_end = traj._end
+    if t == t_end:
+        return traj.y_end, target, target * p_end
+    for t0, h, r0, p0, *q in traj._table().tolist():
+        if t0 <= t < t0 + h:
+            th = (t - t0) / h
+            r = integrator._quartic(r0, h, q[:4], th)
+            y = traj.y_start + traj._inv * math.log(t / traj._t0) + r
+            return y, target, target * integrator._quartic(p0, h, q[4:], th)
     return None
 
 
@@ -218,23 +227,23 @@ def test_find_alpha_matches_segment_scan(reaction):
     start = unstable_manifold_start(cut, v)
     _, traj = trace_until_alpha(cut, v, start, 0.05)
     rows = traj._table().tolist()
-    y0, h, w0, _, *q = rows[-1]
-    assert traj.y_end < y0 + h  # the last segment is cut at the event
-    overrun = math.exp(integrator._quartic(w0, h, q[:4], 1.0))
-    assert overrun < 0.05
-    # levels whose logarithm is a segment's start w0 exactly
-    w_starts = {seg[2] for seg in rows}
-    starts = [a for a in map(math.exp, sorted(w_starts, reverse=True))
-              if math.log(a) in w_starts]
+    # the segments abut in t, and the last lands on the level
+    assert all(a[0] + a[1] == b[0] for a, b in zip(rows, rows[1:]))
+    t0, h, *_ = rows[-1]
+    assert t0 + h == -math.log(0.05) == traj._end[0]
+    # levels whose -ln is a segment's start t exactly
+    t_starts = {seg[0] for seg in rows}
+    starts = [a for a in map(math.exp, sorted(-t for t in t_starts))
+              if -math.log(a) in t_starts]
     assert len(starts) > 20
     levels = [*np.geomspace(0.05, 1.0 - 1e-9, 40).tolist(),
               *starts[1::5], starts[-1], 0.3, 0.05]
     for level in levels:
         hit = traj.find_alpha(level)
         assert hit == _find_alpha_by_scan(traj, level)
-        assert hit is not None
-    # the overrun past the event, above the start, and levels <= 0
-    for level in (math.sqrt(overrun * 0.05), 0.01, 1.5, 0.0, -1.0):
+        assert hit is not None and hit[1] == level
+    # past the end, above the start, and levels <= 0
+    for level in (0.049, 0.01, 1.0 - 1e-12, 1.5, 0.0, -1.0):
         assert traj.find_alpha(level) is None
         assert _find_alpha_by_scan(traj, level) is None
     assert Trajectory(0.0).find_alpha(0.1) is None
@@ -326,6 +335,21 @@ def test_zero_target_refused():
         trace_field_until_alpha(fisher().f, 2.0, start, 0.0)
 
 
+@pytest.mark.parametrize("name,u_c,v", [("fisher", 0.5, 0.56),
+                                        ("cubic", 1e-3, 1.85)])
+def test_path_leaves_the_saddle_as_its_linearization(name, u_c, v):
+    # next to the saddle 1 - U grows like eps*e^(lambda_plus*y), so the y
+    # of the level 1 - d is ln(d/eps)/lambda_plus, to O(d)
+    cut = make_cutoff(by_name(name), u_c)
+    eps = 1e-10
+    _, traj = trace_until_alpha(cut, v, unstable_manifold_start(cut, v, eps),
+                                u_c)
+    lam = lambda_plus(cut.base, v)
+    for d in np.geomspace(1e-9, 1e-6, 13).tolist():
+        y = traj.find_alpha(1.0 - d)[0] - traj.y_start
+        assert abs(y - math.log(d / eps) / lam) <= 1e-5
+
+
 def test_step_counts_reported():
     cut = make_cutoff(fisher(), 0.5)
     ev = trace_until_alpha(cut, 0.3, unstable_manifold_start(cut, 0.3),
@@ -371,16 +395,24 @@ NEAR_SPEEDS = {
 @pytest.mark.parametrize("dv", [-1e-3, 1e-3])
 @pytest.mark.parametrize("name,u_c", sorted(NEAR_SPEEDS))
 def test_slope_shot_matches_y_shot(name, u_c, dv):
+    # a search shot and a dense leg run one step loop; the dense leg keeps
+    # its segments and steps on where the search shot may finish in the
+    # closed-form tail, so its event slope and its path's slope at the
+    # threshold agree with the search shot's
     cut = make_cutoff(by_name(name), u_c)
     v = NEAR_SPEEDS[name, u_c] + dv
     start = unstable_manifold_start(cut, v)
-    p, n_steps, _ = shoot_slope(cut, v, start)
-    ref = trace_until_alpha(cut, v, start, u_c)[0].log_slope
+    p, n_steps, n_rejects = shoot_slope(cut, v, start)
+    record, traj = trace_until_alpha(cut, v, start, u_c)
+    ref = record.log_slope
+    assert traj.find_alpha(u_c)[2] == u_c * ref
     # p + v is only 1e-3 to 0.3 here, and each shot errs by a few 1e-12 at
     # tolerance 1e-12, so p + v is compared relative to p, the quantity
     # both error controls scale with
     assert abs((p + v) - (ref + v)) <= 1e-10 * abs(ref)
     assert n_steps > 0
+    if (record.n_steps, record.n_rejects) == (n_steps, n_rejects):
+        assert p == ref  # no tail: the same steps give the same bits
 
 
 @pytest.mark.parametrize("u_c", [1e-10, 1e-300])

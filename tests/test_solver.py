@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from cutoffwave import (InsufficientTail, MaxIterations, NoSignChange,
-                        Profile, ReactionSpec, ShootingConfig, WaveSolution,
+from cutoffwave import (CutoffWaveError, InsufficientTail, MaxIterations,
+                        NoSignChange, Profile, ReactionSpec, ShootingConfig,
+                        WaveSolution,
                         assemble_profile, by_name, cubic_kpp, fisher,
                         fit_rear_constant, lambda_plus, make_cutoff,
                         shoot_residual, small_uc_speed, solve_speed, sweep,
@@ -152,6 +153,44 @@ def test_find_alpha_meets_the_traced_threshold(name, u_c):
     y, a, _ = sol.trajectory.find_alpha(u_c)
     assert abs(y - sol.y_event) <= 1e-9
     assert a == pytest.approx(u_c, rel=1e-13, abs=0.0)
+
+
+def test_find_alpha_lands_on_the_event():
+    # the threshold is the dense path's last t-node: no search, no rounding
+    for name, u_c in (("fisher", 0.3), ("cubic", 1e-3), ("fisher", 0.9)):
+        sol = solve_speed(make_cutoff(by_name(name), u_c))
+        y, a, b = sol.trajectory.find_alpha(u_c)
+        assert (y, a) == (sol.y_event, u_c)
+        assert b == pytest.approx(sol.trajectory.sample(sol.y_event)[1],
+                                  rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["fisher", "cubic"])
+@pytest.mark.parametrize("u_c", [0.9, 0.5, 1e-3, 1e-8])
+def test_dense_path_steps_as_a_cold_slope_shot(name, u_c):
+    # the dense path is the slope loop at v* with the solve's control, so
+    # it takes no more steps than a cold slope shot there
+    cut = make_cutoff(by_name(name), u_c)
+    sol = solve_speed(cut)
+    start = unstable_manifold_start(cut, sol.v_star)
+    _, steps, rejects = shoot_slope(cut, sol.v_star, start)
+    record, path = solver.trace_until_alpha(cut, sol.v_star, start, u_c)
+    assert record.n_steps + record.n_rejects <= steps + rejects
+    assert len(path) == record.n_steps <= steps
+
+
+def test_failed_row_reads_raise():
+    # a failed sweep row has no speed: reading its path says so
+    row = sweep(fisher(), [0.5], ShootingConfig(residual_tol=1e-18)).rows[0]
+    assert math.isnan(row.v_star)
+    reads = {"trajectory": lambda: row.trajectory,
+             "y_event": lambda: row.y_event,
+             "profile": lambda: row.profile,
+             "sample": lambda: row.sample(np.array([-1.0, 0.0, 1.0])),
+             "y_half": lambda: row.y_half}
+    for read in reads.values():
+        with pytest.raises(CutoffWaveError, match="no solved speed"):
+            read()
 
 
 def test_solution_contract(fisher_half):
@@ -399,7 +438,7 @@ def test_sweep_rejects_bad_order(fisher_spec):
 
 def test_sweep_row_is_one_solve_with_lazy_path(monkeypatch):
     # a caller that wraps solver.solve_speed sees each sweep row as one
-    # call, and no row steps in y until its path is read: the residual
+    # call, and no row shoots its dense path until it is read: the residual
     # comes from the bracket
     calls, traced = [], []
     solve, trace = solver.solve_speed, solver.trace_until_alpha
@@ -463,7 +502,7 @@ def test_path_is_shot_once_on_first_read(monkeypatch, attr):
 
 @pytest.mark.parametrize("fault", ["turned", "missed"])
 def test_dense_path_failure_raises_on_first_read(monkeypatch, fault):
-    # the y-shot at v* is held to the residual criterion where it runs,
+    # the dense shot at v* is held to the residual criterion where it runs,
     # on the first read of the path; solve_speed returns the speed
     trace = solver.trace_until_alpha
 

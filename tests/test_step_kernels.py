@@ -1,7 +1,7 @@
-"""Golden bits of the two step loops, and a guard on their form.
+"""Golden bits of the step loop, and a guard on its form.
 
-The values below were recorded with the step loops written with the
-builtins ``max``, ``min`` and ``abs``; the loops now use conditional
+The slope shots below were recorded with the step loop written with the
+builtins ``max``, ``min`` and ``abs``; the loop now uses conditional
 expressions instead, which must leave every bit unchanged.  The speed
 brackets were recorded when a speed-only solve still ended with a
 ``y``-shot at v*, and the residuals with the rule that replaced it (the
@@ -10,9 +10,10 @@ recorded again once each search stage replayed its first shot's step
 grid, which moved speeds by at most 5.8e-15; the slope shots are still
 taken around the speeds found before.  The replayed shots were recorded
 while a replay still ran in a loop of its own beside the adaptive one.
-The default profiles of full solves were recorded while each step still
-formed its dense-output coefficients as it was accepted.  Floats are
-compared through ``float.hex``.
+The dense paths (``Y_SHOTS``, ``CLAMPED_Y_SHOTS``, the non-finite rejects
+and the default profiles of full solves) were recorded when a dense leg
+became the slope loop stepping in t = -ln U, with y its quadrature.
+Floats are compared through ``float.hex``.
 """
 
 import ast
@@ -169,55 +170,55 @@ SLOPE_SHOTS = {
 # (alpha, beta) samples at 7 evenly spaced y
 Y_SHOTS = {
     ("fisher", 0.5, 0.56): (
-        ("0x1.dd1d93fe29455p+4", "0x1.0000000000000p-1",
-         "-0x1.1ebaca0bead19p-2", 299, 6, "-0x1.1ebaca0bead19p-1"),
+        ("0x1.dd1bc69fb192bp+4", "0x1.0000000000000p-1",
+         "-0x1.1ebaca0bea0acp-2", 92, 4, "-0x1.1ebaca0bea0acp-1"),
         (
-            "0x1.ffffffff24190p-1", "0x1.ffffffdac4817p-1",
-            "0x1.fffff9b1a2bdap-1", "0x1.fffeee93143aep-1",
-            "0x1.ffd1b276a7ca5p-1", "0x1.f83640250d483p-1",
-            "0x1.fffffffffffaep-2", "-0x1.4d930c9b1fbc2p-34",
-            "-0x1.c3d42d35dcaf3p-29", "-0x1.321b9a147af63p-23",
-            "-0x1.9ec36203df302p-18", "-0x1.18e7b049460c3p-12",
-            "-0x1.775cebedcbbf0p-7", "-0x1.1ebaca0beace5p-2",
+            "0x1.ffffffff24190p-1", "0x1.ffffffdac1ccfp-1",
+            "0x1.fffff9b1465c7p-1", "0x1.fffeee8767777p-1",
+            "0x1.ffd1b1252264ap-1", "0x1.f83623f4fb597p-1",
+            "0x1.0000000000000p-1", "-0x1.4d930c9b1fbc2p-34",
+            "-0x1.c3f50528cacd8p-29", "-0x1.322d210cf67e7p-23",
+            "-0x1.9ed515c5a0987p-18", "-0x1.18efaf967c1e4p-12",
+            "-0x1.776230c26fb0fp-7", "-0x1.1ebaca0bea0acp-2",
         ),
     ),
     ("fisher", 1e-10, 1.98): (
-        ("0x1.3c29866013accp+6", "0x1.b7cdfd9d7bdbbp-34",
-         "-0x1.c3b1171f9fb4dp-33", 703, 4, "-0x1.06eb512ed5b14p+1"),
+        ("0x1.3c289a0ff1308p+6", "0x1.b7cdfd9d7bdbbp-34",
+         "-0x1.c3b1171f8dbb2p-33", 649, 16, "-0x1.06eb512ecb3abp+1"),
         (
-            "0x1.ffffffff24190p-1", "0x1.ffffff2ed9ea1p-1",
-            "0x1.ffff38fff81bdp-1", "0x1.ff42dc006f9b3p-1",
-            "0x1.71f1d7b9a2b3bp-1", "0x1.503e0d96d61b1p-12",
-            "0x1.b7cdfd9d7be26p-34", "-0x1.6ef023c9308bfp-35",
-            "-0x1.5d0170e20418dp-27", "-0x1.4c0eed420f5f8p-19",
-            "-0x1.3b45163d9ab15p-11", "-0x1.735890538fc7ep-4",
-            "-0x1.37dbbaa76f4dcp-12", "-0x1.c3b1171f9fb9cp-33",
+            "0x1.ffffffff24190p-1", "0x1.ffffff2ec8d13p-1",
+            "0x1.ffff38f332077p-1", "0x1.ff42d2e804294p-1",
+            "0x1.71ee459723451p-1", "0x1.50320f1f65896p-12",
+            "0x1.b7cdfd9d7bdb8p-34", "-0x1.6ef023c9308bfp-35",
+            "-0x1.5d21dc1e4dd14p-27", "-0x1.4c243d750673ep-19",
+            "-0x1.3b543b3608ad5p-11", "-0x1.735f2b51a31f4p-4",
+            "-0x1.37d0e89b8d30ap-12", "-0x1.c3b1171f8dbafp-33",
         ),
     ),
     ("cubic", 0.001, 1.2): (
-        ("0x1.aa6600b236af2p+4", "0x1.0624dd2f1a9fcp-10",
-         "-0x1.9f5c1e8720544p-4", 795, 7, "-0x1.959ff5cff5924p+6"),
+        ("0x1.aa65d0f345815p+4", "0x1.0624dd2f1a9fcp-10",
+         "-0x1.9f5c1e8722ce6p-4", 479, 12, "-0x1.959ff5cff7fd8p+6"),
         (
-            "0x1.ffffffff24190p-1", "0x1.ffffffc90e1d8p-1",
-            "0x1.fffff24518955p-1", "0x1.fffc91b6ca1abp-1",
-            "0x1.ff24d29eff4b0p-1", "0x1.cd7da049afc61p-1",
-            "0x1.0624dd2f1a6d2p-10", "-0x1.9bc207fe9cff8p-34",
-            "-0x1.9b87213e23ed0p-28", "-0x1.9b5824b471997p-22",
-            "-0x1.9b213ed860072p-16", "-0x1.99da080270be2p-10",
-            "-0x1.5c5f44be5dbedp-4", "-0x1.9f5c1e8720528p-4",
+            "0x1.ffffffff24190p-1", "0x1.ffffffc90d1d4p-1",
+            "0x1.fffff244febf9p-1", "0x1.fffc91b1ff0fdp-1",
+            "0x1.ff24d1d327d33p-1", "0x1.cd7d8aa1398f2p-1",
+            "0x1.0624dd2f1aa01p-10", "-0x1.9bc207fe9cff8p-34",
+            "-0x1.9b8ea5bcbe6bap-28", "-0x1.9b5b43cc59552p-22",
+            "-0x1.9b237d4ef76cap-16", "-0x1.99db84ad8d3fap-10",
+            "-0x1.5c5fcd3db9a06p-4", "-0x1.9f5c1e8722ce7p-4",
         ),
     ),
     ("fisher", 1e-20, 0.0): (
-        ("0x1.7802c013b5276p+4", "0x1.79ca10c924223p-67",
-         "-0x1.279a7458ffbd1p-1", 2776, 7, "-0x1.909e028b7081ap+65"),
+        ("0x1.7802ad1ac330bp+4", "0x1.79ca10c924223p-67",
+         "-0x1.279a74590e3bdp-1", 3096, 5, "-0x1.909e028b8426ap+65"),
         (
-            "0x1.ffffffff24190p-1", "0x1.ffffffd4d908cp-1",
-            "0x1.fffff7880952fp-1", "0x1.fffe568d7cb7fp-1",
-            "0x1.ffac86ad9bd18p-1", "0x1.efc9e7e7b870dp-1",
-            "0x1.7992cd185afe5p-67", "-0x1.b7cdfd9d7bdbbp-34",
-            "-0x1.5937ba0ffd902p-28", "-0x1.0efed422bec58p-22",
-            "-0x1.a9720d706de53p-17", "-0x1.4dd323cf31b99p-11",
-            "-0x1.00a0f372df3b3p-5", "-0x1.2771445c1f910p-1",
+            "0x1.ffffffff24190p-1", "0x1.ffffffd4d881dp-1",
+            "0x1.fffff788022a7p-1", "0x1.fffe568c93357p-1",
+            "0x1.ffac868c9dbfdp-1", "0x1.efc9e4bc3baf9p-1",
+            "0x1.7f1812c015a39p-57", "-0x1.b7cdfd9d7bdbbp-34",
+            "-0x1.593bf32033a98p-28", "-0x1.0effba6b5ccc0p-22",
+            "-0x1.a972ec405dcd3p-17", "-0x1.4dd3a7b0bdb2dp-11",
+            "-0x1.00a1251641817p-5", "-0x1.279a74590c5f3p-1",
         ),
     ),
 }
@@ -309,29 +310,29 @@ PAST_GRID_END = {
 # y_half and y_event as hex
 PROFILES = {
     ("fisher", 0.9): (
-        "8fb1c5c7f7fba37c96ccfbcf19b3804d6a694c4d65b175783e909ad9d8f8f877",
-        "0x1.71a3792de31f2p+2", "0x1.5d7d8c059f75bp+4"),
+        "ed23b37919a48904f30fa73413d19de22b76c564b6199b362a47f4967a95c0d9",
+        "0x1.71a3792de31f2p+2", "0x1.5d7d63ba9401bp+4"),
     ("fisher", 0.5): (
-        "42df321639b66eced89f1e4284b06f5f7ecf1388a4bdd2f6d2028b1b7cc9998d",
-        "0x0.0p+0", "0x1.dd1e655c82683p+4"),
+        "1063a6a17833029ba8c6685549cb3e770d6a12b5ebe68ecc585abc6738980169",
+        "0x0.0p+0", "0x1.dd1c97e3d8326p+4"),
     ("fisher", 0.001): (
-        "0a04f0b319b4fea7d323bc1cf8e2967bc7d2a4af1b7f953c2ba242222da098c2",
-        "-0x1.f6da4a149dcd0p+2", "0x1.d9b3da25050d4p+5"),
+        "eddd551501ab0c9963513f51e020042cb40720cde4bcc18aae41aaa87a0aee61",
+        "-0x1.f6da4a149cdf8p+2", "0x1.d9b21adf4f70ap+5"),
     ("fisher", 1e-08): (
-        "a4cfd5ac1b1cda864eba0564055f891390f3dee48fc2373bcb8105ff19c12745",
-        "-0x1.3c272434184dap+4", "0x1.29185c4fadef6p+6"),
+        "93aebe39656e121c26b16d29958efd9f85332efec215188e807f952061e409cc",
+        "-0x1.3c272434182b8p+4", "0x1.29176f70fd8bdp+6"),
     ("cubic", 0.9): (
-        "4c9f57452141498b26b565a07010c17aec47d8b207a7d6773277143a603fc089",
-        "0x1.09e212c5d0937p+2", "0x1.ee434e2be2e2dp+3"),
+        "f089b5972f76034f448f83dd9436da5ca7211acdd7ec8d76b3313c277ac74ecf",
+        "0x1.09e212c5d0937p+2", "0x1.ee431bbd5a6ffp+3"),
     ("cubic", 0.5): (
-        "ff82477d61695297c8c280e58e27a57c658fe456390a9d5c09cbf73cd8f375b3",
-        "0x0.0p+0", "0x1.4afce29eb62bap+4"),
+        "8a57a18e0be687a0ee294e4e32b2f612ec317ee0c71417f0a7c635477a6fb700",
+        "0x0.0p+0", "0x1.4afce906f793dp+4"),
     ("cubic", 0.001): (
-        "ce091a82400c524680bc196129fd2b13fd2c5f1011f0e2eecb667ae485409c04",
-        "-0x1.a341fd2eab768p+2", "0x1.251baa7b9e9d5p+5"),
+        "82aaf0f5446298e9d6f91d531e7d8d2231f754e985fada6323f4315e59c49107",
+        "-0x1.a341fd2eaaf80p+2", "0x1.251ac6063ba7fp+5"),
     ("cubic", 1e-08): (
-        "30f941d5e77167c48a74200aed788774a731259416ed6e516cd01622ccf577c3",
-        "-0x1.1f94f41de392ep+4", "0x1.8942873e3b75fp+5"),
+        "bbd5fe0c49ead3312365564ca21cdff4dab35fa7f601056b393e7af90217e6b6",
+        "-0x1.1f94f41de3700p+4", "0x1.894197b8ad01ap+5"),
 }
 
 
@@ -395,35 +396,31 @@ def test_non_finite_reject_bits():
     record, traj = trace_until_alpha(cut, 0.0, PhaseState(1e-3, -1.0), 1e-6,
                                      control)
     assert _record_bits(record) == (
-        "0x1.05e1c15097640p-10", "0x1.0c6f7a0b5ed8dp-20",
-        "-0x1.fffffffffe174p-1", 700, 8, "-0x1.e847fffffe2dfp+19")
+        "0x1.05e1c15096c0ep-10", "0x1.0c6f7a0b5ed8dp-20",
+        "-0x1.00000000018bbp+0", 463, 3, "-0x1.e848000002f2cp+19")
     assert _sample_bits(traj) == (
-        "0x1.0624dd2f1a9fdp-10", "0x1.b4fe79ee02401p-11",
-        "0x1.5db3397dcffa5p-11", "0x1.0667f90d9d3f2p-11",
-        "0x1.5e39713ad570fp-12", "0x1.5f45e0b4e0d9ep-13",
-        "0x1.0c6f7a0b5ed33p-20", "-0x1.0000000000001p+0",
-        "-0x1.00000000009a6p+0", "-0x1.0000000000072p+0",
-        "-0x1.000000000072dp+0", "-0x1.0000000000486p+0",
-        "-0x1.ffffffffffb2ap-1", "-0x1.fffffffffe14ep-1")
+        "0x1.0624dd2f1a9fdp-10", "0x1.b4fe79ee02dd1p-11",
+        "0x1.5db3397dd0398p-11", "0x1.0667f90d9dc36p-11",
+        "0x1.5e39713ad647bp-12", "0x1.5f45e0b4e1cabp-13",
+        "0x1.0c6f7a0b5ed8fp-20", "-0x1.0000000000001p+0",
+        "-0x1.000000000029bp+0", "-0x1.000000000020cp+0",
+        "-0x1.00000000005efp+0", "-0x1.00000000007c9p+0",
+        "-0x1.00000000009dcp+0", "-0x1.00000000018bdp+0")
 
 
 def test_coefficient_table_equals_scalar_form():
     # a read path sums each step's stage products in numpy, all rows at
-    # once; the scalar form, as the event step sums them, is the reference
+    # once; the scalar form of the same sums is the reference.  The
+    # remainder of y starts each step with the slope -1/p - inv/t.
     cut = make_cutoff(fisher(), 1e-20)
     _, traj = trace_until_alpha(cut, 0.0, unstable_manifold_start(cut, 0.0),
                                 1e-20)
-    straight = 0
     for seg, row in zip(traj._segments, traj._table().tolist()):
-        y0, h, w0, p0, *k, line = seg
-        if line:  # the slopes of a straight segment are its coefficients
-            straight += 1
-            coefficients = (k[0], 0.0, 0.0, 0.0, k[6], 0.0, 0.0, 0.0)
-        else:
-            coefficients = (*integrator._dense(*k[:6]),
-                            *integrator._dense(*k[6:]))
-        assert _hex(*row) == _hex(y0, h, w0, p0, *coefficients)
-    assert straight == 1
+        t, h, r, p, *k = seg
+        assert k[0] == -1.0 / p - traj._inv / t
+        coefficients = (*integrator._dense(*k[:6]),
+                        *integrator._dense(*k[6:]))
+        assert _hex(*row) == _hex(t, h, r, p, *coefficients)
 
 
 #: shots whose steps grow by the full factor 10 (a first step of 1e-12,
@@ -435,11 +432,11 @@ CLAMPED_SLOPE_SHOTS = [
 ]
 CLAMPED_Y_SHOTS = [
     (("fisher", 0.5, 1.0),
-     ("0x1.25c074ff96df0p+5", "0x1.0000000000000p-1",
-      "-0x1.ade8f4d1579bdp-3", 297, 6, "-0x1.ade8f4d1579bdp-2")),
-    (("cubic", 1e-3, 1.5),
-     ("0x1.e4427b110867ap+4", "0x1.0624dd2f1a9fcp-10",
-      "-0x1.ff1d42067468ap-6", 710, 6, "-0x1.f322927a4dae3p+4")),
+     ("0x1.25bf4812882a8p+5", "0x1.0000000000000p-1",
+      "-0x1.ade8f4d1573f0p-3", 121, 2, "-0x1.ade8f4d1573f0p-2")),
+    (("cubic", 0.001, 1.5),
+     ("0x1.e440eeafc3d17p+4", "0x1.0624dd2f1a9fcp-10",
+      "-0x1.ff1d420676740p-6", 480, 6, "-0x1.f322927a4fad4p+4")),
 ]
 
 
@@ -495,13 +492,23 @@ def test_replay_past_grid_end_bits(name, u_c, v):
     assert _replay(cut, v, grid) == PAST_GRID_END[name, u_c, v]
 
 
+def _source(fn):
+    return ast.parse(textwrap.dedent(inspect.getsource(fn)))
+
+
+def _loop_source():
+    return _source(integrator._shoot)
+
+
 @pytest.mark.parametrize("fn", [integrator.shoot_slope,
                                 integrator._Integration.advance_to_alpha])
 def test_step_loops_call_no_builtins(fn):
     """Each step is a few dozen float operations, so a builtin call per
-    step is a measurable share of its cost: the loops compare instead."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
-    loops = [n for n in ast.walk(tree)
+    step is a measurable share of its cost: the loop compares instead.
+    A slope shot and a dense leg both step in the one loop, ``_shoot``."""
+    assert "_shoot" in {ast.unparse(n.func) for n in ast.walk(_source(fn))
+                        if isinstance(n, ast.Call)}
+    loops = [n for n in ast.walk(_loop_source())
              if isinstance(n, (ast.While, ast.For))]
     assert loops
     called = {n.func.id for loop in loops for n in ast.walk(loop)
@@ -510,17 +517,21 @@ def test_step_loops_call_no_builtins(fn):
 
 
 def test_y_step_loop_defers_dense_output():
-    """A step stores its stage values; the quartic coefficients are built
-    when the path is read.  In the loop only the event step, which bisects
-    its own interpolant, may form them."""
-    fn = integrator._Integration.advance_to_alpha
-    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    """A dense step stores its stage slopes; the quartic coefficients are
+    built when the path is read, never in the step loop."""
     dense = {"_P1", "_P3", "_P4", "_P5", "_P6", "_P7", "_dense"}
-    loop, = [n for n in ast.walk(tree) if isinstance(n, ast.While)]
-    event, = [n for n in ast.walk(loop) if isinstance(n, ast.If)
-              and ast.unparse(n.test) == "w_new <= w_stop"]
-    in_event = {id(n) for n in ast.walk(event)}
-    named = [n for n in ast.walk(loop)
-             if isinstance(n, ast.Name) and n.id in dense]
-    assert named and all(id(n) in in_event for n in named)
+    loop, = [n for n in ast.walk(_loop_source()) if isinstance(n, ast.While)]
+    stored = [n for n in ast.walk(loop) if isinstance(n, ast.Call)
+              and ast.unparse(n.func) == "record.append"]
+    assert len(stored) == 2  # a dense step, and a step of a grid
+    assert not [n for n in ast.walk(loop)
+                if isinstance(n, ast.Name) and n.id in dense]
 
+
+def test_one_step_loop():
+    """One function of the module steps: only it reads the tableau."""
+    tree = ast.parse(inspect.getsource(integrator))
+    users = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+             and any(isinstance(n, ast.Name) and n.id == "_A21"
+                     for n in ast.walk(f))}
+    assert users == {"_shoot"}
