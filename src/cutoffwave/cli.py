@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -206,6 +205,8 @@ def _solve_rows(name: str, reaction: ReactionSpec, config: ShootingConfig,
     if jobs == 1:
         curve = sweep(reaction, values, config)
         return list(map(_speed_row, curve.rows)), curve.failures
+    # imported here, so that a run without a pool does not load it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(values))) as pool:
         results = list(pool.map(_solve_row,
                                 [(name, u, config) for u in values]))

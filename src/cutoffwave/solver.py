@@ -20,15 +20,21 @@ slope shot (``shoot_slope``): it steps p = U'/U against ln U and ends
 exactly at ln u_c, so p + v, which carries the sign, is resolved to the
 integration tolerance at every threshold.
 
-The search runs in two stages that share one bracket-and-widen step and
-one root finder.  Stage 1 shoots at the ODE tolerance relaxed to
-``_COARSE_TOL`` and stops once the bracket is ``_FINE_HALF_WIDTH`` wide;
-a shot far from v* needs only its sign, and a loose shot costs a
-fraction of the steps.  Stage 2 re-brackets +-``_FINE_HALF_WIDTH``
-around stage 1's midpoint at the caller's tolerance (widening it when a
-sign disagrees) and collapses it to a width floor near machine
-precision, so the speed does not depend on the stage-1 tolerance.
-Stage 1 is skipped when the caller's tolerance is already that loose.
+The search runs in two stages.  Stage 1 shoots at the ODE tolerance
+relaxed to ``_COARSE_TOL`` and stops once its bracket is about
+``_FINE_HALF_WIDTH`` wide; a shot far from v* needs only its sign, and a
+loose shot costs a fraction of the steps.  Stage 2 shoots at the
+caller's tolerance, so the speed does not depend on the stage-1
+tolerance.  It shoots stage 1's midpoint, takes a Newton step from it on
+the secant slope across stage 1's final bracket, and shoots a pair of
+speeds a width floor near machine precision apart around that step.
+That pair straddles v* at most thresholds above 1e-20.  Below, r bends
+enough over stage 1's bracket that the pair mostly misses, and up to two
+more pairs follow, each from the last pair's end nearer v*.  Where no slope is usable (stage 1
+ended on an exact zero or a turned shot) or every pair misses, stage 2
+brackets +-``_FINE_HALF_WIDTH`` around stage 1's midpoint, widens it
+when a sign disagrees and collapses it with the root finder.  Stage 1
+is skipped when the caller's tolerance is already that loose.
 Each stage's first shot records a ``StepGrid`` that its later shots
 replay (see ``shoot_slope``): within a stage the search value is then
 one function of v, and a shot costs its stage arithmetic alone until a
@@ -74,10 +80,18 @@ _BRACKET_WIDTH_FLOOR = 1e-14
 #: stage 1 shoots at this ODE tolerance, or at the caller's if looser
 _COARSE_TOL = 1e-8
 
-#: stage 1 stops at a bracket about this wide, and stage 2 opens its
-#: bracket this far on either side of stage 1's midpoint (stage 1's
-#: midpoint lies within about 5e-9 of v*; the widening covers a miss)
+#: stage 1 stops at a bracket about this wide; when no Newton pair
+#: straddles v*, stage 2 opens its bracket this far on either side of
+#: stage 1's midpoint (which lies within about 5e-9 of v*; the widening
+#: covers a miss)
 _FINE_HALF_WIDTH = 1e-8
+
+#: stage 2 shoots at most this many Newton pairs before it falls back
+#: on +-_FINE_HALF_WIDTH.  Over 600 log-spaced thresholds from 0.999 to
+#: 1e-300, both reactions, the first pair straddles v* at most u_c above
+#: 1e-20 and misses at most below, a third pair is needed only below
+#: about 1e-180, and no solve falls back
+_NEWTON_PAIRS = 3
 
 #: default half-width of the bracket seeded around a guessed speed, and
 #: the pad of a sweep's first two rows
@@ -350,6 +364,45 @@ def _widen(f: Callable[[float], float], lo: float, hi: float, vub: float,
     return lo, hi, r_lo, r_hi
 
 
+def _newton_pair(f: Callable[[float], float], lo: float, hi: float,
+                 g_lo: float, g_hi: float, vub: float,
+                 ) -> tuple[float, float, float, float] | None:
+    """Open stage 2 from stage 1's final bracket [lo, hi] and its values.
+
+    Shoots the midpoint, which records the grid, then the pair v1 +-
+    _BRACKET_WIDTH_FLOOR/2 around the Newton step v1 from it on stage
+    1's secant slope across [lo, hi].  After a pair that misses the
+    root, the next Newton step starts from its end nearer the root, on
+    the slope there of the parabola through the midpoint and that end
+    that has stage 1's slope at the midpoint.  Returns the first pair
+    that straddles the root, with f at its ends, or None when
+    _NEWTON_PAIRS pairs miss or a slope is unusable (an exact zero, a
+    turned shot, not rising).
+    """
+    if not lo < hi or TURNED_SENTINEL in (g_lo, g_hi):
+        return None
+    slope = secant = (g_hi - g_lo) / (hi - lo)
+    v = mid = 0.5 * (lo + hi)
+    g = g_mid = f(mid)
+    for _ in range(_NEWTON_PAIRS):
+        if not slope > 0.0 or g == TURNED_SENTINEL:
+            return None
+        step = v - g / slope
+        # rounding the ends widens the pair by at most 2*eps*|step|
+        half = 0.5 * _BRACKET_WIDTH_FLOOR - sys.float_info.epsilon * abs(step)
+        a, b = max(0.0, step - half), min(step + half, vub)
+        if not a < b:  # the step left [0, vub]
+            return None
+        g_a, g_b = f(a), f(b)
+        if g_a < 0.0 <= g_b:
+            return a, b, g_a, g_b
+        v, g = (a, g_a) if abs(g_a) < abs(g_b) else (b, g_b)
+        if v == mid:
+            return None
+        slope = 2.0 * (g - g_mid) / (v - mid) - secant
+    return None
+
+
 def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
                 config: ShootingConfig | None = None, *,
                 pad: float = _BRACKET_PAD) -> WaveSolution:
@@ -361,11 +414,15 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     empty or NaN) that is widened geometrically, clipped to [0, min(2,
     v_upper_bound)], until the residual changes sign across it.
     Stage 1 collapses it to about ``_FINE_HALF_WIDTH`` with shots at
-    ``config.control``'s tolerance relaxed to ``_COARSE_TOL``; stage 2
-    opens +-``_FINE_HALF_WIDTH`` around its midpoint at
-    ``config.control``, widens it the same way and collapses it to
-    ``_BRACKET_WIDTH_FLOOR``.  A stage's shots replay the step grid of
-    its first shot.  ``v_star`` is the midpoint of stage 2's
+    ``config.control``'s tolerance relaxed to ``_COARSE_TOL``.  Stage 2
+    shoots at ``config.control``: stage 1's midpoint, then a pair at
+    most ``_BRACKET_WIDTH_FLOOR`` wide around the Newton step from it on
+    stage 1's secant slope, and up to ``_NEWTON_PAIRS`` such pairs until
+    one straddles the root (see ``_newton_pair``).  Without a usable
+    slope, or when every pair misses, it opens +-``_FINE_HALF_WIDTH``
+    around stage 1's midpoint, widens it the same way and collapses it
+    to ``_BRACKET_WIDTH_FLOOR``.  A stage's shots replay the step grid
+    of its first shot.  ``v_star`` is the midpoint of stage 2's
     bracket.  ``residual`` is u_c*(p + v) at the end of that bracket
     further from zero, which bounds r(v*); 0 on an exact zero (lo == hi).
     ``n_iterations`` counts every search shot but the two opening bracket
@@ -387,8 +444,7 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     coarse = replace(fine, tol=max(_COARSE_TOL, fine.tol))
     shots = 0
 
-    def collapse(lo: float, hi: float, control: IntegrationControl,
-                 floor: float) -> tuple[float, float, float, float]:
+    def search(control: IntegrationControl) -> Callable[[float], float]:
         stage_config = replace(config, control=control)
         grid = StepGrid()  # recorded by the stage's first shot
 
@@ -396,10 +452,11 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
             nonlocal shots
             shots += 1
             return _search_value(cutoff, v, stage_config, grid)
+        return f
 
-        lo, hi, r_lo, r_hi = _widen(f, lo, hi, vub, cutoff.u_c)
-        return _brent(f, lo, hi, r_lo, r_hi,
-                      _MAX_SHOTS - (shots - 2), floor)[:4]
+    def collapse(f: Callable[[float], float], ends: tuple[float, ...],
+                 floor: float) -> tuple[float, float, float, float]:
+        return _brent(f, *ends, _MAX_SHOTS - (shots - 2), floor)[:4]
 
     if guess is None and cutoff.u_c < _SEED_BELOW:
         log_uc = math.log(cutoff.u_c)
@@ -412,11 +469,18 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
         hi = min(guess + pad, vub)
         if not lo < hi:  # a NaN guess or pad as well
             lo, hi = 0.0, vub
+    f, pair = search(fine), None
     if coarse != fine:
-        mid = 0.5 * sum(collapse(lo, hi, coarse, _FINE_HALF_WIDTH)[:2])
+        f1 = search(coarse)
+        ends = collapse(f1, _widen(f1, lo, hi, vub, cutoff.u_c),
+                        _FINE_HALF_WIDTH)
+        pair = _newton_pair(f, *ends, vub)
+        # the fallback opening, shot only when no Newton pair straddles v*
+        mid = 0.5 * (ends[0] + ends[1])
         lo = max(0.0, mid - _FINE_HALF_WIDTH)
         hi = min(mid + _FINE_HALF_WIDTH, vub)
-    lo, hi, g_lo, g_hi = collapse(lo, hi, fine, _BRACKET_WIDTH_FLOOR)
+    lo, hi, g_lo, g_hi = collapse(
+        f, pair or _widen(f, lo, hi, vub, cutoff.u_c), _BRACKET_WIDTH_FLOOR)
     n_iter = shots - 2
     v_star = 0.5 * (lo + hi)
     # r(v*) lies between r(lo) and r(hi); a turned end costs a shot at v*

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -218,7 +219,7 @@ def _recording_pool(monkeypatch) -> list:
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return sizes
 
 
@@ -239,6 +240,19 @@ def test_one_job_never_starts_a_pool(capsys, monkeypatch):
                          "0.6", "--count", "2")
     assert code == 0
     assert sizes == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a --jobs run above 1 imports the pool
+    package_root = os.path.dirname(os.path.dirname(cutoffwave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cutoffwave.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_sweep_independent_rows_match_continuation(capsys):

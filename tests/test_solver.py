@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -715,16 +716,130 @@ def test_loose_tolerance_skips_coarse_stage(monkeypatch, tol):
 
 
 @pytest.mark.parametrize("reaction", [fisher, cubic_kpp])
-@pytest.mark.parametrize("u_c,most", [(1e-3, 4), (1e-5, 4), (1e-300, 8)])
+@pytest.mark.parametrize("u_c,most", [(1e-3, 3), (1e-5, 3), (1e-300, 8)])
 def test_few_shots_at_caller_tolerance(monkeypatch, reaction, u_c, most):
-    # stage 2 opens +-1e-8 around stage 1's midpoint, which lies within
-    # about 5e-9 of v*, so few shots at the caller's tolerance remain
+    # stage 2 shoots stage 1's midpoint and then a Newton pair around the
+    # step from it on stage 1's secant slope, one more pair per miss
     shots = _spy_controls(monkeypatch)
     config = ShootingConfig()
     solve_speed(make_cutoff(reaction(), u_c), config=config).trajectory
     fine = [n for c, n in shots if c == config.control]
     assert fine[-1] > 0 and not any(fine[:-1])  # the final shot is dense
     assert len(fine) - 1 <= most
+
+
+def _count_caller_shots(monkeypatch, control):
+    """Count the slope shots at ``control`` per threshold."""
+    slope = solver.shoot_slope
+    counts = {}
+
+    def spy(cutoff, v, start, control_, grid=None):
+        if control_ == control:
+            counts[cutoff.u_c] = counts.get(cutoff.u_c, 0) + 1
+        return slope(cutoff, v, start, control_, grid=grid)
+
+    monkeypatch.setattr(solver, "shoot_slope", spy)
+    return counts
+
+
+@pytest.mark.parametrize("reaction", [fisher, cubic_kpp])
+def test_sweep_rows_take_three_caller_tolerance_shots(monkeypatch,
+                                                      reaction):
+    # stage 2 records its grid at stage 1's midpoint, and the Newton
+    # pair around the step from it straddles v* on every row
+    config = ShootingConfig()
+    counts = _count_caller_shots(monkeypatch, config.control)
+    curve = sweep(reaction(), ACCEPTANCE_GRID, config)
+    assert not curve.failures
+    assert counts == {u_c: 3 for u_c in ACCEPTANCE_GRID}
+    for row in curve.rows:
+        lo, hi = row.bracket
+        assert hi - lo <= solver._BRACKET_WIDTH_FLOOR
+
+
+@pytest.mark.parametrize("name", ["fisher", "cubic"])
+@pytest.mark.parametrize("u_c", [0.99, 0.5, 1e-3, 1e-5, 1e-10])
+def test_cold_solve_takes_three_caller_tolerance_shots(monkeypatch, name,
+                                                       u_c):
+    config = ShootingConfig()
+    counts = _count_caller_shots(monkeypatch, config.control)
+    sol = solve_speed(make_cutoff(by_name(name), u_c), config=config)
+    assert counts == {u_c: 3}
+    lo, hi = sol.bracket
+    assert hi - lo <= solver._BRACKET_WIDTH_FLOOR
+
+
+def _spy_widen(monkeypatch):
+    """Record the arguments of every bracket opening."""
+    widen = solver._widen
+    widened = []
+    monkeypatch.setattr(solver, "_widen",
+                        lambda *args: widened.append(args) or widen(*args))
+    return widened
+
+
+def _assert_pinned(sol, name):
+    lo, hi = sol.bracket
+    assert hi - lo <= (solver._BRACKET_WIDTH_FLOOR
+                       + 2.0 * sys.float_info.epsilon * abs(sol.v_star))
+    assert abs(sol.v_star - COLD_SPEEDS[name, sol.u_c]) <= 1e-13
+    assert abs(sol.residual) <= ShootingConfig().residual_tol
+
+
+@pytest.mark.parametrize("name", ["fisher", "cubic"])
+@pytest.mark.parametrize("u_c", [1e-50, 1e-300])
+def test_missed_newton_pair_steps_again(monkeypatch, name, u_c):
+    # r is curved enough at tiny thresholds that the first pair misses;
+    # each further pair starts from the last pair's end nearer v*
+    config = ShootingConfig()
+    counts = _count_caller_shots(monkeypatch, config.control)
+    widened = _spy_widen(monkeypatch)
+    sol = solve_speed(make_cutoff(by_name(name), u_c), config=config)
+    assert counts[u_c] in range(5, 2 * solver._NEWTON_PAIRS + 2, 2)
+    assert len(widened) == 1  # stage 1's only
+    _assert_pinned(sol, name)
+
+
+def _stage_one_ending(monkeypatch, ending):
+    """Make stage 1's Brent search end on an exact zero at its midpoint
+    or with the turned-shot sentinel at its high end."""
+    brent = solver._brent
+
+    def spy(f, lo, hi, r_lo, r_hi, max_iter, floor):
+        out = brent(f, lo, hi, r_lo, r_hi, max_iter, floor)
+        if floor != solver._FINE_HALF_WIDTH:
+            return out
+        lo, hi, r_lo, r_hi, n = out
+        if ending == "zero":
+            mid = 0.5 * (lo + hi)
+            return mid, mid, 0.0, 0.0, n
+        return lo, hi, r_lo, solver.TURNED_SENTINEL, n
+
+    monkeypatch.setattr(solver, "_brent", spy)
+
+
+@pytest.mark.parametrize("ending,name,u_c", [
+    *[(ending, name, u_c) for ending in ("zero", "turned")
+      for name, u_c in (("fisher", 0.99), ("cubic", 1e-10),
+                        ("fisher", 1e-50))],
+    ("no-pairs", "fisher", 1e-50), ("no-pairs", "cubic", 1e-300)])
+def test_unusable_stage_one_slope_falls_back(monkeypatch, ending, name,
+                                             u_c):
+    # without a usable slope, or once every Newton pair has missed, stage
+    # 2 opens +-_FINE_HALF_WIDTH around stage 1's midpoint and widens it
+    if ending == "no-pairs":  # the first pair misses at these thresholds
+        monkeypatch.setattr(solver, "_NEWTON_PAIRS", 1)
+    else:
+        _stage_one_ending(monkeypatch, ending)
+    config = ShootingConfig()
+    counts = _count_caller_shots(monkeypatch, config.control)
+    widened = _spy_widen(monkeypatch)
+    sol = solve_speed(make_cutoff(by_name(name), u_c), config=config)
+    assert len(widened) == 2
+    assert widened[1][2] - widened[1][1] == pytest.approx(
+        2.0 * solver._FINE_HALF_WIDTH)
+    assert counts[u_c] >= (5 if ending == "no-pairs" else 2)
+    _assert_pinned(sol, name)
 
 
 # cold speeds of a single-stage search at tolerance 1e-12; the stage-2

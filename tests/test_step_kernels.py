@@ -10,10 +10,13 @@ recorded again once each search stage replayed its first shot's step
 grid, which moved speeds by at most 5.8e-15; the slope shots are still
 taken around the speeds found before.  The replayed shots were recorded
 while a replay still ran in a loop of its own beside the adaptive one.
-The dense paths (``Y_SHOTS``, ``CLAMPED_Y_SHOTS``, the non-finite rejects
-and the default profiles of full solves) were recorded when a dense leg
-became the slope loop stepping in t = -ln U, with y its quadrature.
-Floats are compared through ``float.hex``.
+The dense paths (``Y_SHOTS``, ``CLAMPED_Y_SHOTS`` and the non-finite
+rejects) were recorded when a dense leg became the slope loop stepping in
+t = -ln U, with y its quadrature.  ``SOLVE_BITS`` and the default
+profiles of full solves (``PROFILES``) were recorded once more when stage
+2 came to open on Newton pairs from stage 1's secant slope, which moved
+speeds by at most 7.8e-15; the rest go through no ``solve_speed`` and
+kept their bits.  Floats are compared through ``float.hex``.
 """
 
 import ast
@@ -47,37 +50,37 @@ SPEEDS = {
 #: the residual, per (reaction, u_c)
 SOLVE_BITS = {
     ("fisher", 0.5): (
-        "0x1.1eba1cfa7a378p-1",
-        "0x1.1eba1cfa7a360p-1", "0x1.1eba1cfa7a38fp-1",
-        "-0x1.0400000000000p-48"),
+        "0x1.1eba1cfa7a38dp-1",
+        "0x1.1eba1cfa7a361p-1", "0x1.1eba1cfa7a3b9p-1",
+        "-0x1.0000000000000p-48"),
     ("fisher", 0.001): (
-        "0x1.ce9d2ce69a9e5p+0",
-        "0x1.ce9d2ce69a9d8p+0", "0x1.ce9d2ce69a9f2p+0",
-        "-0x1.22d0e56041894p-54"),
+        "0x1.ce9d2ce69a9f1p+0",
+        "0x1.ce9d2ce69a9dcp+0", "0x1.ce9d2ce69aa06p+0",
+        "0x1.0f5c28f5c28f6p-54"),
     ("fisher", 1e-10): (
-        "0x1.faf146b67278cp+0",
-        "0x1.faf146b67277fp+0", "0x1.faf146b672799p+0",
-        "0x1.8dedc0979d30ap-73"),
+        "0x1.faf146b672778p+0",
+        "0x1.faf146b672763p+0", "0x1.faf146b67278dp+0",
+        "-0x1.c5c3674a1b6a1p-73"),
     ("fisher", 1e-300): (
-        "0x1.fffea4089d032p+0",
-        "0x1.fffea4089d024p+0", "0x1.fffea4089d03fp+0",
-        "-0x1.1a77bb593d2fdp-1021"),
+        "0x1.fffea4089d02fp+0",
+        "0x1.fffea4089d01ap+0", "0x1.fffea4089d044p+0",
+        "-0x1.83b391bec68fap-1021"),
     ("cubic", 0.5): (
-        "0x1.6fde39a0fc346p-1",
-        "0x1.6fde39a0fc32ep-1", "0x1.6fde39a0fc35ep-1",
-        "0x1.0400000000000p-48"),
+        "0x1.6fde39a0fc32fp-1",
+        "0x1.6fde39a0fc303p-1", "0x1.6fde39a0fc35bp-1",
+        "0x1.e800000000000p-49"),
     ("cubic", 0.001): (
-        "0x1.dad85e8f54c03p+0",
-        "0x1.dad85e8f54bf6p+0", "0x1.dad85e8f54c10p+0",
-        "-0x1.a1cac083126eap-54"),
+        "0x1.dad85e8f54c10p+0",
+        "0x1.dad85e8f54bfbp+0", "0x1.dad85e8f54c25p+0",
+        "0x1.8624dd2f1a9fcp-54"),
     ("cubic", 1e-10): (
-        "0x1.fb9e2ae026f1ap+0",
-        "0x1.fb9e2ae026f0dp+0", "0x1.fb9e2ae026f27p+0",
-        "-0x1.f13ff56dbdb93p-73"),
+        "0x1.fb9e2ae026f27p+0",
+        "0x1.fb9e2ae026f12p+0", "0x1.fb9e2ae026f3cp+0",
+        "-0x1.966949abd6c43p-73"),
     ("cubic", 1e-300): (
-        "0x1.fffea5d0b98a8p+0",
-        "0x1.fffea5d0b989bp+0", "0x1.fffea5d0b98b6p+0",
-        "0x1.1cf7476fa64c5p-1021"),
+        "0x1.fffea5d0b989bp+0",
+        "0x1.fffea5d0b9886p+0", "0x1.fffea5d0b98b0p+0",
+        "-0x1.c83365b25079ap-1022"),
 }
 
 # (reaction, u_c, tol) -> (p.hex(), steps, rejects) at v* + 1e-8,
@@ -313,26 +316,26 @@ PROFILES = {
         "ed23b37919a48904f30fa73413d19de22b76c564b6199b362a47f4967a95c0d9",
         "0x1.71a3792de31f2p+2", "0x1.5d7d63ba9401bp+4"),
     ("fisher", 0.5): (
-        "1063a6a17833029ba8c6685549cb3e770d6a12b5ebe68ecc585abc6738980169",
-        "0x0.0p+0", "0x1.dd1c97e3d8326p+4"),
+        "ab41c9e759b7847d7ede9195b6b72594e885ba7aa65bb56df5d65a58479c5bd8",
+        "0x0.0p+0", "0x1.dd1c97e3d8671p+4"),
     ("fisher", 0.001): (
-        "eddd551501ab0c9963513f51e020042cb40720cde4bcc18aae41aaa87a0aee61",
-        "-0x1.f6da4a149cdf8p+2", "0x1.d9b21adf4f70ap+5"),
+        "92622dc911f0feec3be965399785c20feee5a260a95fec76b44d63b5ba7d34c2",
+        "-0x1.f6da4a149ce18p+2", "0x1.d9b21adca1936p+5"),
     ("fisher", 1e-08): (
-        "93aebe39656e121c26b16d29958efd9f85332efec215188e807f952061e409cc",
-        "-0x1.3c272434182b8p+4", "0x1.29176f70fd8bdp+6"),
+        "d0685e4345bc5f72c97a11b6cb5357e73c4912eba583ff49740572cc8d54ca88",
+        "-0x1.3c27243418208p+4", "0x1.29176f6fa4ce5p+6"),
     ("cubic", 0.9): (
-        "f089b5972f76034f448f83dd9436da5ca7211acdd7ec8d76b3313c277ac74ecf",
-        "0x1.09e212c5d0937p+2", "0x1.ee431bbd5a6ffp+3"),
+        "11463e1f5c73b3df58aa15297e1a70f12053029fa9b2a7a51bf37fa5dc2bb454",
+        "0x1.09e212c5d0939p+2", "0x1.ee431bbd5a6f5p+3"),
     ("cubic", 0.5): (
-        "8a57a18e0be687a0ee294e4e32b2f612ec317ee0c71417f0a7c635477a6fb700",
-        "0x0.0p+0", "0x1.4afce906f793dp+4"),
+        "178d08d011548f78ef16d8faeed39d54481ecaea06c69fbaba9c6612705429d8",
+        "0x0.0p+0", "0x1.4afce906f3d2bp+4"),
     ("cubic", 0.001): (
-        "82aaf0f5446298e9d6f91d531e7d8d2231f754e985fada6323f4315e59c49107",
-        "-0x1.a341fd2eaaf80p+2", "0x1.251ac6063ba7fp+5"),
+        "5df14c59266eaed5eec25bef92338e45865239efc31d3a00d2506c28f63d2dc5",
+        "-0x1.a341fd2eaafb8p+2", "0x1.251ac60622f01p+5"),
     ("cubic", 1e-08): (
-        "bbd5fe0c49ead3312365564ca21cdff4dab35fa7f601056b393e7af90217e6b6",
-        "-0x1.1f94f41de3700p+4", "0x1.894197b8ad01ap+5"),
+        "bea1a900331e13525bd64c1900ab711cf2bb9da930a2cba94323bca18e704c9f",
+        "-0x1.1f94f41de360ep+4", "0x1.894197b895c53p+5"),
 }
 
 
