@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import ProfileTooShort
 from .reaction import ReactionSpec
@@ -44,8 +43,6 @@ class LargeUcPrediction:
     two_term: float
     V0: float
     V1: float
-    #: scaled phase path X -> Y(X; delta) on [0, 1]
-    phase_path: Callable[[float], float]
 
 
 def small_uc_speed(u_c: float, constants: AsymptoticConstants,
@@ -85,13 +82,9 @@ def large_uc_speed(u_c: float, reaction: ReactionSpec) -> LargeUcPrediction:
     fpp = reaction.fdoubleprime_at_1
     v0 = math.sqrt(fp)
     v1 = v0 * (3.0 + fpp / fp) / 6.0
-
-    def phase_path(x: float) -> float:
-        return -v0 * x + delta * v0 * x * (3.0 - fpp * x / fp) / 6.0
-
     return LargeUcPrediction(u_c=u_c, delta=delta, one_term=delta * v0,
                              two_term=delta * v0 + delta * delta * v1,
-                             V0=v0, V1=v1, phase_path=phase_path)
+                             V0=v0, V1=v1)
 
 
 def large_uc_phase_path(alpha: float, u_c: float,

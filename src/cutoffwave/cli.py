@@ -24,7 +24,7 @@ from .errors import CutoffWaveError
 from .integrator import IntegrationControl
 from .reaction import BUILTIN_REACTIONS, ReactionSpec, by_name, make_cutoff
 from .reference import AsymptoticConstants, fit_edge_constants, solve_reference
-from .solver import ShootingConfig, snapped_grid, solve_speed, sweep
+from .solver import ShootingConfig, assemble_profile, solve_speed, sweep
 
 _CONFIG_ENV = "PTW_CONFIG"
 _CONFIG_KEYS = ("reaction", "tol_ode", "tol_shoot", "epsilon_manifold")
@@ -245,7 +245,7 @@ def _cmd_profile(args, name, reaction, config) -> int:
     u_c = _check_uc(args.uc)
     if args.y_min >= args.y_max:
         raise UsageError("--y-min must be below --y-max")
-    # NaN passes the test above; -inf is clamped to the rear below
+    # NaN passes the test above; assemble_profile clamps -inf to the rear
     if math.isnan(args.y_min):
         raise UsageError("--y-min must be a number, got nan")
     if not math.isfinite(args.y_max):
@@ -253,15 +253,11 @@ def _cmd_profile(args, name, reaction, config) -> int:
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
     sol = solve_speed(make_cutoff(reaction, u_c), None, config)
-
-    shift = sol.y_half if args.frame == "origin-at-half" else 0.0
-    lo = max(args.y_min, -sol.y_event - shift)  # rear ends at the saddle
-    if lo >= args.y_max:
-        raise UsageError("requested window lies entirely behind the "
-                         f"computed rear (which starts at y = {lo:.3f})")
-    grid = snapped_grid(lo, args.y_max, args.samples)
-    u, up = sol.sample(grid + shift)
-    _write(["y", "U", "Uprime"], zip(grid, u, up), args.format, args.output)
+    prof = assemble_profile(
+        sol, args.y_min, args.y_max, args.samples,
+        origin=sol.y_half if args.frame == "origin-at-half" else 0.0)
+    _write(["y", "U", "Uprime"], zip(prof.y, prof.u, prof.uprime),
+           args.format, args.output)
     return 0
 
 

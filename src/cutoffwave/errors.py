@@ -6,16 +6,16 @@ class CutoffWaveError(Exception):
 
 
 class SpanExceeded(CutoffWaveError):
-    """Integration ran past the maximum span without reaching its target.
+    """The path turned before its target level: U stopped falling, so
+    trial steps were rejected until the step size underflowed.
 
-    For a shooting trajectory this signals that the phase path turned
-    (stalled on a sub-threshold equilibrium) before the target level,
-    i.e. the trial speed is above the wave speed.
+    For a cut-off shot this means the trial speed lies above the wave
+    speed.
     """
 
 
 class StepFailure(CutoffWaveError):
-    """The adaptive step controller underflowed the minimum step size."""
+    """The step size underflowed after a NaN trial step (a non-finite rate)."""
 
 
 class NoSignChange(CutoffWaveError):

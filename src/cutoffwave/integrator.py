@@ -32,10 +32,10 @@ steps at once, when the path is first read: ``Trajectory.sample``
 inverts the monotone y(t) within one segment, and ``find_alpha`` reads y
 at t = -ln level.
 
-The cut-off rate is discontinuous at alpha = u_c, so a dense path that
-runs below the threshold is stepped in two legs, split there, and every
-step sees a smooth right-hand side.  Levels are positive, since alpha =
-e^-t never reaches 0.
+Each dense path is one leg of one smooth rate: a cut-off path ends at or
+above the threshold, ahead of which the rate is zero and the wave at v*
+is u_c*exp(-v*y) (``WaveSolution.sample``).  Levels are positive, since
+alpha = e^-t never reaches 0.
 """
 
 from __future__ import annotations
@@ -138,14 +138,14 @@ class Trajectory:
         self.y_end = y_start
         self._t0 = t0
         self._inv = -t0 / p0  # 1/lambda, the saddle logarithm's factor
-        # (t, r, p) where the path ends: the start until a leg has run
+        # (t, r, p) where the path ends: the start until its leg has run
         self._end = (t0, 0.0, p0)
         # per segment the flat 16-tuple of a step's stage values (t, h, r,
         # p, kr1, kr3..kr7, kp1, kp3..kp7): kr* and kp* are the slopes of
         # r and p at the stages the dense output weighs
         self._segments: list[tuple] = []
-        # the (n, 12) coefficient table, built when first read (again
-        # after segments are added): unread paths never pay for it
+        # the (n, 12) coefficient table, built when first read: unread
+        # paths never pay for it
         self._rows: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -154,8 +154,8 @@ class Trajectory:
     def _table(self) -> np.ndarray:
         """Per segment (t, h, r, p, qr0..qr3, qp0..qp3), q* the quartic
         coefficients of r and p, to the bit as ``_dense`` sums them."""
-        n = len(self._segments)
-        if self._rows is None or len(self._rows) != n:
+        if self._rows is None:
+            n = len(self._segments)
             raw = np.fromiter(chain.from_iterable(self._segments), float,
                               16 * n).reshape(n, 16)
             self._rows = np.column_stack([raw[:, :4],
@@ -304,7 +304,7 @@ def _shoot(f: Callable[[float], float], v: float, a: float, t: float,
     ``path`` and steps all the way.  Raises SpanExceeded where the path
     turns, or StepFailure where the last trial step went non-finite.
     """
-    r = path._end[1] if path is not None else 0.0
+    r = 0.0
     if t >= t_end:  # a start on the level is its own event
         return p, 0, 0, r
     exp = math.exp
@@ -429,22 +429,21 @@ def _shoot(f: Callable[[float], float], v: float, a: float, t: float,
 
 
 class _Integration:
-    """The legs of one dense path.
+    """One dense path, stepped in one leg.
 
-    ``advance_to_alpha`` runs the step loop from where the last leg
-    stopped, keeping its steps on ``trajectory``; ``state`` is the
-    (alpha, beta) point where the last leg stopped, the start until one
-    has run.
+    ``advance_to_alpha`` runs the step loop from the start, keeping its
+    steps on ``trajectory``; ``state`` is the (alpha, beta) point where
+    the leg stopped, the start until it has run.
     """
 
     __slots__ = ("v", "control", "state", "n_steps", "n_rejects",
                  "trajectory")
 
-    def __init__(self, v: float, start: PhaseState, y0: float,
+    def __init__(self, v: float, start: PhaseState,
                  control: IntegrationControl) -> None:
         self.v, self.control, self.state = v, control, start
         self.n_steps = self.n_rejects = 0
-        self.trajectory = Trajectory(y0, _t_of(start.alpha),
+        self.trajectory = Trajectory(0.0, _t_of(start.alpha),
                                      start.beta / start.alpha)
 
     def advance_to_alpha(self, rate: Callable[[float], float],
@@ -452,8 +451,8 @@ class _Integration:
         """Step until alpha equals ``alpha_stop`` (> 0, below alpha): the
         last step lands on t = -ln alpha_stop.
 
-        The rate callable is f(alpha) and must be smooth over the leg;
-        zone switching is the caller's job.  Raises as ``_shoot`` does.
+        The rate callable is f(alpha) and must be smooth over the leg.
+        Raises as ``_shoot`` does.
         """
         traj = self.trajectory
         t, _, p = traj._end
@@ -476,14 +475,13 @@ def unstable_manifold_start(cutoff: CutoffReaction, v: float,
     return PhaseState(1.0 - epsilon, -lambda_plus(cutoff.base, v) * epsilon)
 
 
-def _trace(v: float, start: PhaseState, control: IntegrationControl | None,
-           y0: float, *legs: tuple) -> tuple[EventRecord, Trajectory]:
-    """Step from ``start`` through ``legs``, (rate, level) pairs of smooth
-    dynamics, to the last level; a leg whose level the path has already
-    reached is skipped.  Raises as ``trace_until_alpha`` does."""
+def _trace(rate: Callable[[float], float], v: float, start: PhaseState,
+           target: float, control: IntegrationControl | None,
+           ) -> tuple[EventRecord, Trajectory]:
+    """Step the smooth ``rate`` from ``start`` to the level ``target``.
+    Raises as ``trace_until_alpha`` does."""
     if control is None:
         control = IntegrationControl()
-    target = legs[-1][1]
     # written so that NaN fails them too
     if not v >= 0.0:
         raise ValueError("speed must be non-negative")
@@ -492,10 +490,9 @@ def _trace(v: float, start: PhaseState, control: IntegrationControl | None,
     if not (start.alpha < 1.0 and start.beta < 0.0):
         raise ValueError("need start.alpha < 1 and start.beta < 0: the path "
                          "falls from below the saddle")
-    run = _Integration(v, start, y0, control)
-    for rate, level in legs:
-        if run.state.alpha > level:
-            run.advance_to_alpha(rate, level)
+    run = _Integration(v, start, control)
+    if start.alpha > target:  # a start on the level is its own event
+        run.advance_to_alpha(rate, target)
     path = run.trajectory
     return EventRecord(path.y_end, run.state, run.n_steps, run.n_rejects,
                        path._end[2]), path
@@ -507,19 +504,20 @@ def trace_until_alpha(cutoff: CutoffReaction, v: float, start: PhaseState,
                       ) -> tuple[EventRecord, Trajectory]:
     """Integrate the phase-plane system until alpha first hits the target.
 
-    Returns the event record and the dense path.  Raises ValueError for
-    a negative or NaN speed, a target outside (0, start.alpha] (alpha
-    = e^-t never reaches 0), or a start that is not falling from below
-    the saddle (start.alpha >= 1 or start.beta >= 0); SpanExceeded when
-    the path turns above the target (U stops falling, which ends in
+    Returns the event record and the dense path, one leg of the base
+    rate.  Raises ValueError for a negative or NaN speed, a target
+    outside [u_c, start.alpha] (below u_c the rate is zero, and the wave
+    at v* is u_c*exp(-v*y) there), or a start that is not falling from
+    below the saddle (start.alpha >= 1 or start.beta >= 0); SpanExceeded
+    when the path turns above the target (U stops falling, which ends in
     step-size underflow); and StepFailure when the last trial step went
     non-finite.
     """
-    # legs of smooth dynamics: above the threshold the gated rate equals
-    # the base reaction, at or below it the rate is identically zero
-    return _trace(v, start, control, 0.0,
-                  (cutoff.base.f, max(cutoff.u_c, alpha_target)),
-                  (lambda _u: 0.0, alpha_target))
+    if not alpha_target >= cutoff.u_c:  # NaN fails it too
+        raise ValueError(f"target {alpha_target!r} lies below u_c="
+                         f"{cutoff.u_c!r}: ahead of the threshold the wave "
+                         "is u_c*exp(-v*y) in closed form")
+    return _trace(cutoff.base.f, v, start, alpha_target, control)
 
 
 class StepGrid:
@@ -586,12 +584,11 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
 def trace_field_until_alpha(rate: Callable[[float], float], v: float,
                             start: PhaseState, alpha_target: float,
                             control: IntegrationControl | None = None,
-                            y0: float = 0.0,
                             ) -> tuple[EventRecord, Trajectory]:
-    """Integrate a single smooth vector field until alpha hits the target.
+    """Integrate one smooth rate f(alpha) until alpha hits the target.
 
-    Used for reaction functions without a cut-off (no zone splitting);
-    ``y0`` offsets the independent variable so chained legs line up.
-    Speed, start, target and failures as for ``trace_until_alpha``.
+    Used for reactions without a cut-off, and for the zero rate ahead of
+    a threshold.  The path starts at y = 0.  Speed, start and failures as
+    for ``trace_until_alpha``; the target must lie in (0, start.alpha].
     """
-    return _trace(v, start, control, y0, (rate, alpha_target))
+    return _trace(rate, v, start, alpha_target, control)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +38,20 @@ _FIT_SPACING = 0.025
 class ReferenceWave:
     """Minimum-speed wave, origin shifted so U(0) = 1/2."""
 
-    profile: Profile
     y_shift: float
     reaction: ReactionSpec
     trajectory: Trajectory
+
+    @cached_property
+    def profile(self) -> Profile:
+        """4,001 samples from the path's start to U = 1e-11, sampled when
+        first read and kept."""
+        path, y_shift = self.trajectory, self.y_shift
+        y_last = path.find_alpha(_PROFILE_FLOOR)[0]
+        grid = snapped_grid(path.y_start - y_shift, y_last - y_shift,
+                            _PROFILE_SAMPLES)
+        u, up = path.sample(grid + y_shift)
+        return Profile(y=grid, u=u, uprime=up)
 
 
 @dataclass(frozen=True)
@@ -50,11 +61,6 @@ class AsymptoticConstants:
     gamma: float
     fit_window: tuple[float, float]
     fit_residual: float
-
-    def to_json_dict(self) -> dict:
-        return {"a_inf": self.a_inf, "b_inf": self.b_inf,
-                "gamma": self.gamma, "window": list(self.fit_window),
-                "residual": self.fit_residual}
 
 
 def solve_reference(reaction: ReactionSpec,
@@ -69,13 +75,7 @@ def solve_reference(reaction: ReactionSpec,
     eps = _MANIFOLD_OFFSET
     start = PhaseState(1.0 - eps, -lambda_plus(reaction, v) * eps)
     _, path = trace_field_until_alpha(reaction.f, v, start, _FLOOR, control)
-    y_shift = path.find_alpha(0.5)[0]
-    y_last = path.find_alpha(_PROFILE_FLOOR)[0]
-    grid = snapped_grid(path.y_start - y_shift, y_last - y_shift,
-                        _PROFILE_SAMPLES)
-    u, up = path.sample(grid + y_shift)
-    return ReferenceWave(profile=Profile(y=grid, u=u, uprime=up),
-                         y_shift=y_shift, reaction=reaction,
+    return ReferenceWave(y_shift=path.find_alpha(0.5)[0], reaction=reaction,
                          trajectory=path)
 
 

@@ -497,18 +497,24 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
 
 
 def assemble_profile(solution: WaveSolution, y_min: float, y_max: float,
-                     n_samples: int = 1201) -> Profile:
-    """Sample the wave on [y_min, y_max] with the threshold at y = 0.
+                     n_samples: int = 1201, origin: float = 0.0) -> Profile:
+    """Sample the wave on [y_min, y_max], y measured from ``origin`` in
+    the frame with the threshold at 0 (``solution.y_half``: U = 1/2).
 
-    The window is clamped to the computed rear and the grid is snapped
-    so one sample sits exactly at y = 0; see :meth:`WaveSolution.sample`.
+    The window is clamped to the computed rear (one wholly behind it, or
+    with y_min >= y_max or y_max infinite, raises ValueError), and the
+    grid is snapped so one sample sits at y = 0; see ``WaveSolution.sample``.
     """
-    if not (y_min < 0.0 < y_max):
-        raise ValueError("need y_min < 0 < y_max")
+    if not y_min < y_max < math.inf:  # NaN fails it too
+        raise ValueError("need y_min < y_max < inf")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    grid = snapped_grid(max(y_min, -solution.y_event), y_max, n_samples)
-    u, up = solution.sample(grid)
+    lo = max(y_min, -solution.y_event - origin)  # the rear ends at the saddle
+    if lo >= y_max:
+        raise ValueError("requested window lies entirely behind the "
+                         f"computed rear (which starts at y = {lo:.3f})")
+    grid = snapped_grid(lo, y_max, n_samples)
+    u, up = solution.sample(grid + origin)
     return Profile(y=grid, u=u, uprime=up)
 
 

@@ -128,15 +128,6 @@ def test_phase_path_matches_boundary_condition():
         assert abs(lhs - rhs) < delta ** 3
 
 
-def test_scaled_path_consistency():
-    pred = large_uc_speed(0.9, fisher())
-    # the scaled and unscaled forms agree: beta = delta * Y((1-alpha)/delta)
-    for alpha in (0.9, 0.93, 0.97, 1.0):
-        x = (1.0 - alpha) / pred.delta
-        assert pred.delta * pred.phase_path(x) == pytest.approx(
-            large_uc_phase_path(alpha, 0.9, fisher()), abs=1e-14)
-
-
 def test_measure_front_location_half_threshold(fisher_half):
     assert measure_front_location(fisher_half) == pytest.approx(0.0,
                                                                 abs=1e-12)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -68,6 +69,7 @@ def test_solve_skips_the_dense_shot(capsys, monkeypatch):
         return trace(*args, **kwargs)
 
     monkeypatch.setattr(solver, "assemble_profile", assembled)
+    monkeypatch.setattr(cli, "assemble_profile", assembled)
     monkeypatch.setattr(solver, "trace_until_alpha", tracing)
     code, out, _ = run_cli(capsys, "solve", "--uc", "1e-5")
     assert code == 0 and profiles == [] and traced == []
@@ -295,20 +297,22 @@ def test_profile_half_frame(capsys):
 
 @pytest.mark.parametrize("frame", ["origin-at-uc", "origin-at-half"])
 def test_profile_builds_no_default_profile(capsys, monkeypatch, frame):
-    # the command samples its own grid: the solution's default profile
-    # is never read, so it is never assembled
+    # the command assembles its own window once: the solution's default
+    # profile of 1,201 samples is never read, so it is never assembled
     calls = []
     assemble = solver.assemble_profile
 
-    def assembled(*args, **kwargs):
-        calls.append(args)
-        return assemble(*args, **kwargs)
+    def assembled(sol, y_min, y_max, n_samples=1201, **kwargs):
+        calls.append(n_samples)
+        return assemble(sol, y_min, y_max, n_samples, **kwargs)
 
+    # the command's own name, and the one the default profile calls
+    monkeypatch.setattr(cli, "assemble_profile", assembled)
     monkeypatch.setattr(solver, "assemble_profile", assembled)
     code, out, _ = run_cli(capsys, "profile", "--uc", "0.2", "--samples",
                            "101", "--frame", frame)
     assert code == 0 and len(parse_csv(out)[1]) == 101
-    assert calls == []
+    assert calls == [101]
 
 
 def test_profile_dense_path_failure_exit(capsys, monkeypatch):
@@ -409,6 +413,51 @@ def test_profile_prints_assembled_profile(capsys):
     assert parse_csv(out)[1] == expected
 
 
+#: SHA-256 of the stdout of these commands, recorded before the command
+#: sampled its window through assemble_profile
+OUTPUT_PINS = {
+    ("profile", "--uc", "0.2", "--samples", "201", "--frame", "origin-at-uc"):
+        "4a8c60e60e544d0e02d2dfa632e89225277c29e4e8564c7716d3eb8513634be1",
+    ("profile", "--uc", "0.2", "--samples", "201", "--frame",
+     "origin-at-half"):
+        "0f906ef986797cedb9c0c12b82d2325b9dc7aea9aad4e83330a5c712206b9f0b",
+    ("profile", "--reaction", "cubic", "--uc", "1e-3", "--samples", "201",
+     "--frame", "origin-at-uc"):
+        "26a0cf8a95b0c9841504546e0bc331c81e9da0379913f233cbce1f8f8d7888de",
+    ("profile", "--reaction", "cubic", "--uc", "1e-3", "--samples", "201",
+     "--frame", "origin-at-half"):
+        "76ab4c892961a67aadacacb227b6f241bab15b69e9a2ed86c45b8198b4778635",
+    ("reference",):
+        "a49b9f4a173a4e18b3759a82262ed9eae757a2eee893c50473ac36a13af0f2bc",
+}
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_PINS))
+def test_output_bits(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_PINS[argv]
+
+
+@pytest.mark.parametrize("frame,window", [
+    ("origin-at-half", ("-8", "8")), ("origin-at-half", ("2", "6")),
+    ("origin-at-uc", ("1", "3")), ("origin-at-half", ("-1000", "-1"))])
+def test_profile_frames_print_assembled_profile(capsys, frame, window):
+    # every frame and window, wholly ahead of y = 0 or behind it, is read
+    # through assemble_profile, y measured from its origin
+    code, out, _ = run_cli(capsys, "profile", "--uc", "0.2", "--y-min",
+                           window[0], "--y-max", window[1], "--samples", "201",
+                           "--frame", frame)
+    assert code == 0
+    sol = solve_speed(make_cutoff(fisher(), 0.2))
+    origin = sol.y_half if frame == "origin-at-half" else 0.0
+    prof = assemble_profile(sol, float(window[0]), float(window[1]), 201,
+                            origin=origin)
+    assert out == "y,U,Uprime\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % row
+        for row in zip(prof.y.tolist(), prof.u.tolist(), prof.uprime.tolist()))
+
+
 def test_reference_json(capsys):
     code, out, _ = run_cli(capsys, "reference")
     assert code == 0
@@ -417,6 +466,7 @@ def test_reference_json(capsys):
     assert 3.3 <= payload["a_inf"] <= 3.7
     assert -11.8 <= payload["b_inf"] <= -10.8
     assert payload["gamma"] == pytest.approx(math.sqrt(2) - 1.0, abs=1e-12)
+    assert payload["window"] == [10.0, 25.0]
 
 
 def test_reference_malformed_window(capsys):

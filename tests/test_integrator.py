@@ -107,15 +107,29 @@ def test_rest_energy_oracle_along_path(u_c, v):
             assert abs(b + math.sqrt(fisher_energy(a, u_c))) < 1e-8
 
 
+def _zero_rate(_u):
+    return 0.0
+
+
 def _cutoff_path():
-    cut = make_cutoff(fisher(), 0.3)
+    cut = make_cutoff(fisher(), 0.05)
     v = 0.7
     return trace_until_alpha(cut, v, unstable_manifold_start(cut, v), 0.05)
 
 
+def test_target_below_threshold_refused():
+    # below u_c the cut-off rate is zero; the wave there is in closed form
+    cut = make_cutoff(fisher(), 0.3)
+    start = unstable_manifold_start(cut, 0.9)
+    for below in (0.29, 1e-6, math.nextafter(0.3, 0.0)):
+        with pytest.raises(ValueError, match=r"u_c\*exp\(-v\*y\)"):
+            trace_until_alpha(cut, 0.9, start, below)
+    assert trace_until_alpha(cut, 0.9, start, 0.3)[0].state.alpha == 0.3
+
+
 def test_sample_array_equals_pointwise():
-    # both zones, so the path spans the split at u_c; the grid holds the
-    # ends and every segment start, where the segment lookup switches
+    # the grid holds the ends and every segment start, where the segment
+    # lookup switches
     _, traj = _cutoff_path()
     rows = traj._table()
     nodes = traj._y(rows[:, 0], rows[:, 2])
@@ -168,37 +182,17 @@ def test_sample_array_range_check():
         Trajectory(0.0).sample(np.array([0.0]))
 
 
-def test_refraction_across_threshold():
-    # beta stays C0 but its slope jumps by +f_c_plus going down through u_c
-    cut = make_cutoff(fisher(), 0.5)
-    v = 0.7
-    start = unstable_manifold_start(cut, v)
-    ev, traj = trace_until_alpha(cut, v, start, 0.2)
-    crossing = traj.find_alpha(0.5)
-    assert crossing is not None
-    y_c, _, b_c = crossing
+def test_refraction_across_threshold(fisher_half):
+    # beta stays C0 but its slope jumps by +f_c_plus going down through
+    # u_c: the rear is read off the dense path, the front is closed form
+    cut, v = fisher_half.cutoff, fisher_half.v_star
     h = 1e-6
-    _, b_before = traj.sample(y_c - h)
-    _, b_after = traj.sample(y_c + h)
+    _, (b_before, b_c, b_after) = fisher_half.sample(np.array([-h, 0.0, h]))
     slope_minus = (b_c - b_before) / h
     slope_plus = (b_after - b_c) / h
     assert slope_minus == pytest.approx(-v * b_c - cut.f_c_plus, abs=1e-5)
     assert slope_plus == pytest.approx(-v * b_c, abs=1e-5)
     assert slope_plus - slope_minus == pytest.approx(cut.f_c_plus, abs=2e-5)
-
-
-def test_find_alpha_respects_event_split():
-    # a level just below the threshold must be located on the post-jump
-    # dynamics, not on the smooth extension of the bracketing step
-    cut = make_cutoff(fisher(), 0.5)
-    v = 0.7
-    ev, traj = trace_until_alpha(cut, v, unstable_manifold_start(cut, v), 0.2)
-    _, _, b_c = traj.find_alpha(0.5)
-    c0 = b_c + v * 0.5
-    for level in (0.499, 0.49, 0.45, 0.3):
-        y, a, b = traj.find_alpha(level)
-        assert a == pytest.approx(level, abs=1e-13)
-        assert b + v * a == pytest.approx(c0, abs=1e-11)
 
 
 def _find_alpha_by_scan(traj, target):
@@ -222,7 +216,7 @@ def _find_alpha_by_scan(traj, target):
 
 @pytest.mark.parametrize("reaction", [fisher, cubic_kpp])
 def test_find_alpha_matches_segment_scan(reaction):
-    cut = make_cutoff(reaction(), 0.3)
+    cut = make_cutoff(reaction(), 0.05)
     v = 0.9
     start = unstable_manifold_start(cut, v)
     _, traj = trace_until_alpha(cut, v, start, 0.05)
@@ -250,15 +244,16 @@ def test_find_alpha_matches_segment_scan(reaction):
 
 
 def test_linear_zone_conserves_beta_plus_v_alpha():
+    # ahead of the threshold the rate is zero, traced from the threshold
+    # state on: there beta + v*alpha is constant
     cut = make_cutoff(fisher(), 0.5)
     v = 0.7
-    ev, traj = trace_until_alpha(cut, v, unstable_manifold_start(cut, v), 0.2)
-    y_c, _, b_c = traj.find_alpha(0.5)
-    c0 = b_c + v * 0.5
+    ev = trace_until_alpha(cut, v, unstable_manifold_start(cut, v), 0.5)[0]
+    c0 = ev.state.beta + v * 0.5
+    linear, traj = trace_field_until_alpha(_zero_rate, v, ev.state, 0.2)
     n = 400
     for i in range(1, n + 1):
-        y = y_c + (ev.y_event - y_c) * i / n
-        a, b = traj.sample(y)
+        a, b = traj.sample(linear.y_event * i / n)
         assert abs((b + v * a) - c0) < 1e-11
 
 
@@ -271,8 +266,9 @@ def test_span_exceeded_when_path_turns():
     stall_level = (ev.state.beta + v * 0.5) / v  # beta hits 0 here
     assert 0.0 < stall_level < 0.5
     with pytest.raises(SpanExceeded):
-        trace_until_alpha(cut, v, start, stall_level / 2.0)[0]
-    below = trace_until_alpha(cut, v, start, 1.01 * stall_level)[0]
+        trace_field_until_alpha(_zero_rate, v, ev.state, stall_level / 2.0)
+    below = trace_field_until_alpha(_zero_rate, v, ev.state,
+                                    1.01 * stall_level)[0]
     assert below.state.alpha == pytest.approx(1.01 * stall_level, abs=1e-13)
 
 
@@ -319,9 +315,8 @@ def test_level_met_next_to_zero_crossing():
 def test_oversized_trial_step_is_rejected():
     # a first step of 1 spans the nearby U = 0 crossing 1e3 times over;
     # its stages leave the float range and must count as a reject
-    cut = make_cutoff(fisher(), 0.5)
-    ev = trace_until_alpha(cut, 0.0, PhaseState(1e-3, -1.0), 1e-6,
-                           IntegrationControl(initial_step=1.0))[0]
+    ev = trace_field_until_alpha(_zero_rate, 0.0, PhaseState(1e-3, -1.0),
+                                 1e-6, IntegrationControl(initial_step=1.0))[0]
     assert ev.state.beta == pytest.approx(-1.0, abs=1e-9)
     assert ev.n_rejects > 0
 

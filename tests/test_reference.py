@@ -89,8 +89,7 @@ def test_fit_recovers_planted_edge(fisher_reference):
             u = (2.0 * y + 1.0) * np.exp(-y)
             return u, -(2.0 * y - 1.0) * np.exp(-y)
 
-    wave = ReferenceWave(profile=fisher_reference.profile, y_shift=0.0,
-                         reaction=fisher_reference.reaction,
+    wave = ReferenceWave(y_shift=0.0, reaction=fisher_reference.reaction,
                          trajectory=PlantedPath())
     constants = fit_edge_constants(wave, window=(10.0, 25.0))
     assert constants.a_inf == pytest.approx(2.0, abs=1e-8)
@@ -112,8 +111,3 @@ def test_cubic_reference_runs():
     assert constants.a_inf > 0.0
     assert constants.gamma == pytest.approx(math.sqrt(3) - 1.0, abs=1e-12)
 
-
-def test_json_payload(fisher_constants):
-    payload = fisher_constants.to_json_dict()
-    assert set(payload) == {"a_inf", "b_inf", "gamma", "window", "residual"}
-    assert payload["window"] == [10.0, 25.0]

@@ -277,8 +277,17 @@ def test_assemble_profile_ranges(fisher_half):
     assert prof.y[0] == pytest.approx(-5.0)
     assert prof.y[-1] == pytest.approx(2.0)
     assert np.any(prof.y == 0.0)
-    with pytest.raises(ValueError):
-        assemble_profile(fisher_half, y_min=1.0, y_max=2.0)
+    # a window wholly ahead of the threshold is the closed form there
+    ahead = assemble_profile(fisher_half, y_min=1.0, y_max=2.0, n_samples=11)
+    v, u_c = fisher_half.v_star, fisher_half.u_c
+    assert ahead.y.tolist() == np.linspace(1.0, 2.0, 11).tolist()
+    decay = [math.exp(-v * y) for y in ahead.y.tolist()]
+    assert ahead.u.tolist() == [u_c * d for d in decay]
+    assert ahead.uprime.tolist() == [-v * u_c * d for d in decay]
+    for y_min, y_max in ((2.0, 1.0), (1.0, 1.0), (math.nan, 1.0),
+                         (-5.0, math.inf), (-1e3, -fisher_half.y_event - 1.0)):
+        with pytest.raises(ValueError):
+            assemble_profile(fisher_half, y_min=y_min, y_max=y_max)
 
 
 def test_max_iterations_raised(monkeypatch):

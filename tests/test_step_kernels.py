@@ -28,8 +28,8 @@ import numpy as np
 import pytest
 
 from cutoffwave import (IntegrationControl, PhaseState, by_name, fisher,
-                        make_cutoff, solve_speed, trace_until_alpha,
-                        unstable_manifold_start)
+                        make_cutoff, solve_speed, trace_field_until_alpha,
+                        trace_until_alpha, unstable_manifold_start)
 from cutoffwave import integrator
 from cutoffwave.integrator import StepGrid, shoot_slope
 
@@ -393,11 +393,12 @@ def test_y_shot_bits(name, u_c, v):
 
 def test_non_finite_reject_bits():
     # a first step of 1 sends the stages out of the float range: the
-    # rejects then shrink h by _MIN_FACTOR
-    cut = make_cutoff(fisher(), 0.5)
+    # rejects then shrink h by _MIN_FACTOR; the zero rate of the region
+    # ahead of a threshold
     control = IntegrationControl(initial_step=1.0)
-    record, traj = trace_until_alpha(cut, 0.0, PhaseState(1e-3, -1.0), 1e-6,
-                                     control)
+    record, traj = trace_field_until_alpha(lambda _u: 0.0, 0.0,
+                                           PhaseState(1e-3, -1.0), 1e-6,
+                                           control)
     assert _record_bits(record) == (
         "0x1.05e1c15096c0ep-10", "0x1.0c6f7a0b5ed8dp-20",
         "-0x1.00000000018bbp+0", 463, 3, "-0x1.e848000002f2cp+19")
