@@ -14,8 +14,9 @@ import json
 import math
 import os
 import sys
+from itertools import chain, islice
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +34,9 @@ _DEFAULTS = ShootingConfig()
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
+#: CSV rows formatted by one ``%`` and written together
+_BLOCK_ROWS = 1024
+
 #: a speed row: these fields of a solution, which are also its columns
 _SPEED_COLUMNS = ("u_c", "v_star", "residual", "n_iterations")
 _speed_row = attrgetter(*_SPEED_COLUMNS)
@@ -48,44 +52,72 @@ def _flat(row: tuple) -> tuple:
                  for x in (cell if isinstance(cell, tuple) else (cell,)))
 
 
+def _json_cell(cell):
+    """The cell as JSON writes it: a non-finite float, which JSON cannot
+    hold, as null, and a (lo, hi) pair as an array."""
+    if isinstance(cell, tuple):
+        return [_json_cell(x) for x in cell]
+    if isinstance(cell, float) and not math.isfinite(cell):
+        return None
+    return cell
+
+
+def _csv_blocks(header: Sequence[str], rows: Iterable[tuple]) -> Iterator[str]:
+    """The CSV text of a table: the header line, then blocks of up to
+    ``_BLOCK_ROWS`` rows, each formatted by one ``%``."""
+    rows = iter(rows)
+    first = next(rows)  # every command writes at least one row
+    names = []
+    for name, cell in zip(header, first):
+        names += ([f"{name}_lo", f"{name}_hi"] if isinstance(cell, tuple)
+                  else [name])
+    if len(names) > len(header):
+        first, rows = _flat(first), map(_flat, rows)
+    # numpy floats format exactly as Python floats under "%.17g"
+    template = ",".join("%d" if isinstance(c, int) else "%.17g"
+                        for c in first) + "\n"
+    yield ",".join(names) + "\n"
+    block = [first, *islice(rows, _BLOCK_ROWS - 1)]
+    while block:
+        yield (template * len(block)) % tuple(chain.from_iterable(block))
+        block = list(islice(rows, _BLOCK_ROWS))
+
+
 def _write(header: Sequence[str], rows: Iterable[tuple], fmt: str,
            path: str | None, one: bool = False) -> None:
     """Write a table to ``path``, or to stdout when it is None.
 
     csv: the header line, then every row through one template, floats
     with 17 significant digits; a (lo, hi) cell becomes the two columns
-    name_lo and name_hi.  json: a list of objects, or the single row's
-    object when ``one`` is set; a pair becomes an array.  svg: the speed
-    chart of compare's rows.
+    name_lo and name_hi.  Rows are formatted and written a block at a
+    time, so the whole text is never held.  json: a list of objects, or
+    the single row's object when ``one`` is set; a pair becomes an array
+    and a non-finite float null.  svg: the speed chart of compare's rows.
+
+    A reader that closes stdout early ends the output quietly: the rest,
+    and the interpreter's final flush, go to the null device.
     """
     if fmt == "csv":
-        rows = iter(rows)
-        first = next(rows)  # every command writes at least one row
-        names = []
-        for name, cell in zip(header, first):
-            names += ([f"{name}_lo", f"{name}_hi"] if isinstance(cell, tuple)
-                      else [name])
-        if len(names) > len(header):
-            first, rows = _flat(first), map(_flat, rows)
-        # numpy floats format exactly as Python floats under "%.17g"
-        template = ",".join("%d" if isinstance(c, int) else "%.17g"
-                            for c in first)
-        text = "\n".join([",".join(names), template % first,
-                          *map(template.__mod__, rows)]) + "\n"
+        chunks = _csv_blocks(header, rows)
+    elif fmt == "svg":
+        chunks = [render_speed_chart([dict(zip(header, r)) for r in rows])]
     else:
-        records = [dict(zip(header, row)) for row in rows]
-        if fmt == "svg":
-            text = render_speed_chart(records)
-        else:
-            text = json.dumps(records[0] if one else records, indent=2) + "\n"
+        records = [{name: _json_cell(cell) for name, cell in zip(header, row)}
+                   for row in rows]
+        chunks = [json.dumps(records[0] if one else records, indent=2) + "\n"]
     if path:
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +231,17 @@ def _solve_rows(name: str, reaction: ReactionSpec, config: ShootingConfig,
     """Speed rows for descending thresholds, failures kept alongside.
 
     One job runs the warm-started ``sweep``; more solve every row cold
-    in a pool of at most one worker per row (reactions travel by name
-    and rows as tuples, since neither a reaction nor a solution pickles).
+    in a pool of at most one worker per row and per CPU (reactions travel
+    by name and rows as tuples, since neither a reaction nor a solution
+    pickles).
     """
     if jobs == 1:
         curve = sweep(reaction, values, config)
         return list(map(_speed_row, curve.rows)), curve.failures
     # imported here, so that a run without a pool does not load it
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(values))) as pool:
+    workers = min(jobs, len(values), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_solve_row,
                                 [(name, u, config) for u in values]))
     return ([row for row, _ in results],
@@ -434,7 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "KPP reaction-diffusion problems")
     sub = parser.add_subparsers(dest="command", required=True)
     jobs_help = ("1 (default) warm-starts each row from the last; N > 1 "
-                 "solves rows independently in up to N processes")
+                 "solves rows independently in up to N processes, at most "
+                 "one per row and per CPU")
 
     p = sub.add_parser("solve", help="wave speed for one threshold")
     p.set_defaults(run=_cmd_solve)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -41,6 +42,14 @@ def reemit_csv(text):
                 cells.append(format(float(cell), ".17g"))
         out.append(",".join(cells))
     return "\n".join(out) + "\n"
+
+
+def _cli_env():
+    """Environment for a child that imports the same package as the tests,
+    installed or not."""
+    package_root = os.path.dirname(os.path.dirname(cutoffwave.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
 def test_solve_json(capsys):
@@ -144,6 +153,32 @@ def test_sweep_two_rows(capsys):
     assert float(rows[1][1]) > float(rows[0][1])
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_failed_rows_are_valid_json(capsys):
+    # a residual tolerance no shot meets fails every row; JSON writes its
+    # missing speed and residual as null, CSV as nan
+    argv = ["sweep", "--uc-min", "0.3", "--uc-max", "0.5", "--count", "2",
+            "--tol-shoot", "1e-30"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 3
+    rows = json.loads(out, parse_constant=_refuse_constant)
+    assert [(r["v_star"], r["residual"]) for r in rows] == [(None, None)] * 2
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    assert [r[1:3] for r in parse_csv(out)[1]] == [["nan", "nan"]] * 2
+
+
+def test_json_pair_cell_writes_null(capsys):
+    cli._write(["a", "b", "n"], [(math.inf, (0.5, math.nan), 3)], "json",
+               None, one=True)
+    out = capsys.readouterr().out
+    assert json.loads(out, parse_constant=_refuse_constant) == {
+        "a": None, "b": [0.5, None], "n": 3}
+
+
 def test_sweep_count_validation(capsys):
     code, _, err = run_cli(capsys, "sweep", "--uc-min", "0.3", "--uc-max",
                            "0.6", "--count", "1")
@@ -228,12 +263,26 @@ def _recording_pool(monkeypatch) -> list:
 @pytest.mark.parametrize("jobs, count, workers", [(64, 2, 2), (3, 4, 3)])
 def test_jobs_pool_capped_at_row_count(capsys, monkeypatch, jobs, count,
                                        workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     sizes = _recording_pool(monkeypatch)
     code, out, _ = run_cli(capsys, "sweep", "--uc-min", "0.4", "--uc-max",
                            "0.6", "--count", str(count), "--jobs", str(jobs))
     assert code == 0
     assert sizes == [workers]
     assert len(parse_csv(out)[1]) == count
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+def test_jobs_pool_capped_at_cpu_count(capsys, monkeypatch, cpus, workers):
+    # a pool of N workers forks N interpreters at once; more than the CPUs
+    # only queue for them
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    sizes = _recording_pool(monkeypatch)
+    code, out, _ = run_cli(capsys, "sweep", "--uc-min", "0.4", "--uc-max",
+                           "0.6", "--count", "10", "--jobs", "64")
+    assert code == 0
+    assert sizes == [workers]
+    assert len(parse_csv(out)[1]) == 10
 
 
 def test_one_job_never_starts_a_pool(capsys, monkeypatch):
@@ -246,13 +295,10 @@ def test_one_job_never_starts_a_pool(capsys, monkeypatch):
 
 def test_cli_import_loads_no_process_pool():
     # only a --jobs run above 1 imports the pool
-    package_root = os.path.dirname(os.path.dirname(cutoffwave.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, cutoffwave.cli; "
          "print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True, timeout=300, env=env)
+        capture_output=True, text=True, timeout=300, env=_cli_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
 
@@ -414,7 +460,9 @@ def test_profile_prints_assembled_profile(capsys):
 
 
 #: SHA-256 of the stdout of these commands, recorded before the command
-#: sampled its window through assemble_profile
+#: sampled its window through assemble_profile (the first five) and before
+#: CSV tables were written in blocks of rows (the rest: profiles on either
+#: side of a block edge, a pair cell, an int column and a compare table)
 OUTPUT_PINS = {
     ("profile", "--uc", "0.2", "--samples", "201", "--frame", "origin-at-uc"):
         "4a8c60e60e544d0e02d2dfa632e89225277c29e4e8564c7716d3eb8513634be1",
@@ -429,6 +477,22 @@ OUTPUT_PINS = {
         "76ab4c892961a67aadacacb227b6f241bab15b69e9a2ed86c45b8198b4778635",
     ("reference",):
         "a49b9f4a173a4e18b3759a82262ed9eae757a2eee893c50473ac36a13af0f2bc",
+    ("profile", "--uc", "0.5", "--samples", "1023"):
+        "1eebd235bdfba483658060aba8d9ee9f49164eb7288ae13a8a4d1dad09e2727b",
+    ("profile", "--uc", "0.5", "--samples", "1024"):
+        "fca435686750e5507fb3f9717900c2281489f5bc5196b438d4b097208a4a95ff",
+    ("profile", "--uc", "0.5", "--samples", "1025"):
+        "96f16d6a67165bed23b882209ece386306f586d4be450d676dc7b1a345400a49",
+    ("profile", "--uc", "0.5", "--samples", "2049"):
+        "696732b277ca28529f4383ca7ae88430913c3f6e8fa5495b0f0fa7a25d8013f9",
+    ("profile", "--uc", "0.5", "--samples", "100001"):
+        "84d8032347d3c2913ede59bbd3de9d3f34a3c57090648aef972c02ecca82aed7",
+    ("solve", "--uc", "0.5", "--format", "csv"):
+        "6b51df39b97f78ad19bb8543385c667f85b4df8416c4eb4fe93c731720359b20",
+    ("sweep", "--uc-min", "0.3", "--uc-max", "0.6", "--count", "5"):
+        "08ea7a6a028f140570aa0581c60000ca0b87cc190b1a060450a6698134b7750b",
+    ("compare", "--uc", "0.5,0.1,1e-3"):
+        "bbdbb652e63ba27257c908d095fba10ae7338c386a7edc1b7dabf4bdf46b6b21",
 }
 
 
@@ -437,6 +501,38 @@ def test_output_bits(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_PINS[argv]
+
+
+def test_profile_writer_memory_is_bounded(tmp_path):
+    # a CSV table is formatted and written a block of rows at a time, so
+    # the writer never holds the whole 6 MB text of a dense profile
+    sol = solve_speed(make_cutoff(fisher(), 0.5))
+    prof = assemble_profile(sol, -30.0, 10.0, 100_001)
+    target = tmp_path / "profile.csv"
+    tracemalloc.start()
+    try:
+        cli._write(["y", "U", "Uprime"], zip(prof.y, prof.u, prof.uprime),
+                   "csv", str(target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert target.stat().st_size > 6_000_000
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader stops after the header, with far more than a pipe buffer
+    # of rows still to come; the command still exits 0 and says nothing
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cutoffwave.cli", "profile", "--uc", "0.5",
+         "--samples", "20001"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
+    assert proc.stdout.readline() == b"y,U,Uprime\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("frame,window", [
@@ -616,13 +712,9 @@ def test_output_file(capsys, tmp_path):
 
 
 def test_console_entry_point():
-    # the child imports the same package as the tests, installed or not
-    package_root = os.path.dirname(os.path.dirname(cutoffwave.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "cutoffwave.cli", "solve", "--uc", "0.7"],
-        capture_output=True, text=True, timeout=300, env=env)
+        capture_output=True, text=True, timeout=300, env=_cli_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["v_star"] == pytest.approx(0.318272119164,
                                                               abs=1e-6)
