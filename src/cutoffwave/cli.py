@@ -450,15 +450,20 @@ def _add_common(p: argparse.ArgumentParser, formats: list[str]) -> None:
     p.add_argument("--tol-ode", type=float, default=None,
                    help="absolute and relative integration tolerance "
                         f"(default {_DEFAULTS.control.tol:g})")
+    p.add_argument("--output", default=None, help="write to file instead of stdout")
+    p.add_argument("--format", default=formats[0], choices=formats,
+                   help=f"output format (default {formats[0]})")
+
+
+def _add_shooting(p: argparse.ArgumentParser, formats: list[str]) -> None:
+    """The common flags and the two that only a shooting command reads."""
+    _add_common(p, formats)
     p.add_argument("--tol-shoot", type=float, default=None,
                    help="shooting residual tolerance "
                         f"(default {_DEFAULTS.residual_tol:g})")
     p.add_argument("--epsilon-manifold", type=float, default=None,
                    help="unstable-manifold offset "
                         f"(default {_DEFAULTS.epsilon_manifold:g})")
-    p.add_argument("--output", default=None, help="write to file instead of stdout")
-    p.add_argument("--format", default=formats[0], choices=formats,
-                   help=f"output format (default {formats[0]})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -474,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="wave speed for one threshold")
     p.set_defaults(run=_cmd_solve)
     p.add_argument("--uc", type=float, required=True)
-    _add_common(p, ["json", "csv"])
+    _add_shooting(p, ["json", "csv"])
 
     p = sub.add_parser("sweep", help="speed curve over a threshold range")
     p.set_defaults(run=_cmd_sweep)
@@ -483,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--spacing", choices=["linear", "log"], default="log")
     p.add_argument("--jobs", type=int, default=1, help=jobs_help)
-    _add_common(p, ["csv", "json"])
+    _add_shooting(p, ["csv", "json"])
 
     p = sub.add_parser("profile", help="sampled wave profile")
     p.set_defaults(run=_cmd_profile)
@@ -493,11 +498,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=601)
     p.add_argument("--frame", choices=["origin-at-uc", "origin-at-half"],
                    default="origin-at-uc")
-    _add_common(p, ["csv", "json"])
+    _add_shooting(p, ["csv", "json"])
 
     p = sub.add_parser("reference",
                        help="leading-edge constants of the wave without cut-off")
-    p.set_defaults(run=_cmd_reference)
+    # the reference wave is not shot against a threshold: no --tol-shoot
+    # or --epsilon-manifold, and _resolve keeps their defaults
+    p.set_defaults(run=_cmd_reference, tol_shoot=None, epsilon_manifold=None)
     p.add_argument("--window", type=float, nargs=2, default=[10.0, 25.0],
                    metavar=("LO", "HI"))
     _add_common(p, ["json", "csv"])
@@ -515,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default=None,
                    help="also write an SVG chart to this path")
     p.add_argument("--jobs", type=int, default=1, help=jobs_help)
-    _add_common(p, ["csv", "json", "svg"])
+    _add_shooting(p, ["csv", "json", "svg"])
 
     return parser
 

@@ -28,13 +28,5 @@ class MaxIterations(CutoffWaveError):
     width floor, or the speed missed the residual criterion."""
 
 
-class InsufficientTail(CutoffWaveError):
-    """The rear window of a profile holds too few samples for a fit."""
-
-
 class WindowTooNarrow(CutoffWaveError):
     """The leading-edge fit window holds too few samples."""
-
-
-class ProfileTooShort(CutoffWaveError):
-    """A profile does not span the levels needed for a measurement."""

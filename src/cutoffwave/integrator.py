@@ -270,7 +270,7 @@ def exp_each(x: np.ndarray) -> np.ndarray:
 
 def _dense(k1, k3, k4, k5, k6, k7):
     """The four quartic coefficients of one variable from its slopes at
-    the stages, floats or arrays alike, summed left to right."""
+    the stages, one array entry per segment, summed left to right."""
     return (_P1[0] * k1 + _P3[0] * k3 + _P4[0] * k4 + _P5[0] * k5
             + _P6[0] * k6 + _P7[0] * k7,
             _P1[1] * k1 + _P3[1] * k3 + _P4[1] * k4 + _P5[1] * k5

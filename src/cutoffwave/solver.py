@@ -61,8 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (InsufficientTail, MaxIterations, NoSignChange,
-                     SpanExceeded, CutoffWaveError)
+from .errors import MaxIterations, NoSignChange, SpanExceeded, CutoffWaveError
 from .integrator import (IntegrationControl, StepGrid, Trajectory, exp_each,
                          shoot_slope, trace_until_alpha,
                          unstable_manifold_start)
@@ -579,23 +578,13 @@ def sweep(reaction: ReactionSpec, u_c_values: Sequence[float],
 
 
 def fit_rear_constant(solution: WaveSolution) -> float:
-    """Amplitude of the rear tail 1 - U_T ~ A * exp(lambda_plus * y).
+    """Amplitude A of the rear tail 1 - U_T ~ A * exp(lambda_plus * y).
 
-    Least-squares fit of log(1 - U_T) against lambda_plus(v*) * y over
-    the window from the profile start to the sample where 1 - U_T
-    reaches 1e-2.
+    The path starts on the saddle's linearized unstable manifold at
+    1 - U = epsilon_manifold, which is y = -y_event in the threshold
+    frame, so A = epsilon_manifold * exp(lambda_plus(v*) * y_event) to
+    O(epsilon_manifold); no profile is sampled or fitted.
     """
-    one_minus = 1.0 - solution.profile.u
-    if one_minus[0] >= 1e-4:
-        raise InsufficientTail(
-            f"profile rear starts at 1-U = {one_minus[0]:.3e}; "
-            "need the profile to reach within 1e-4 of the saturated state")
-    mask = one_minus <= 1e-2
-    n = int(mask.sum())
-    if n < 50:
-        raise InsufficientTail(f"only {n} samples in the rear window")
     lam = lambda_plus(solution.cutoff.base, solution.v_star)
-    x = lam * solution.profile.y[mask]
-    z = np.log(one_minus[mask])
-    coeffs = np.polyfit(x, z, 1)
-    return float(np.exp(coeffs[1]))
+    eps = solution.config.epsilon_manifold
+    return eps * math.exp(lam * solution.y_event)

@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from cutoffwave import (AsymptoticConstants, ProfileTooShort, cubic_kpp,
-                        fisher, large_uc_phase_path, large_uc_speed,
-                        make_cutoff, measure_front_location, small_uc_speed,
-                        solve_speed, assemble_profile)
+from cutoffwave import (AsymptoticConstants, cubic_kpp, fisher,
+                        large_uc_phase_path, large_uc_speed, make_cutoff,
+                        measure_front_location, small_uc_speed, solve_speed,
+                        solver)
 
 NOMINAL_CONSTANTS = AsymptoticConstants(a_inf=3.5, b_inf=-11.3,
                                       gamma=math.sqrt(2) - 1.0,
@@ -133,11 +133,16 @@ def test_measure_front_location_half_threshold(fisher_half):
                                                                 abs=1e-12)
 
 
-def test_measure_front_location_requires_span():
-    sol = solve_speed(make_cutoff(fisher(), 0.6))
-    sol.profile = assemble_profile(sol, y_min=-1.0, y_max=0.01)
-    with pytest.raises(ProfileTooShort):
-        measure_front_location(sol)
+@pytest.mark.parametrize("reaction", [fisher, cubic_kpp])
+@pytest.mark.parametrize("u_c", [0.6, 1e-2, 1e-8])
+def test_measure_front_location_reads_the_path(monkeypatch, reaction, u_c):
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure_front_location built a profile")
+
+    monkeypatch.setattr(solver, "assemble_profile", refuse)
+    sol = solve_speed(make_cutoff(reaction(), u_c))
+    front = measure_front_location(sol)
+    assert front == -sol.y_half
 
 
 def test_front_location_grows_as_threshold_shrinks():

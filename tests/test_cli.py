@@ -570,6 +570,15 @@ def test_reference_malformed_window(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--tol-shoot", "1e-30"),
+                                        ("--epsilon-manifold", "1e-8")])
+def test_reference_refuses_shooting_flags(capsys, flag, value):
+    # the reference wave forms no residual and starts at a fixed offset
+    code, out, err = run_cli(capsys, "reference", flag, value)
+    assert code == 2 and out == ""
+    assert flag in err
+
+
 def test_compare_single_point(capsys, tmp_path):
     constants = tmp_path / "constants.json"
     constants.write_text(json.dumps({"a_inf": 3.5, "b_inf": -11.3}))

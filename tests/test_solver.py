@@ -5,9 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from cutoffwave import (CutoffWaveError, InsufficientTail, MaxIterations,
-                        NoSignChange, Profile, ReactionSpec, ShootingConfig,
-                        WaveSolution,
+from cutoffwave import (CutoffWaveError, MaxIterations, NoSignChange,
+                        ReactionSpec, ShootingConfig, WaveSolution,
                         assemble_profile, by_name, cubic_kpp, fisher,
                         fit_rear_constant, lambda_plus, make_cutoff,
                         shoot_residual, small_uc_speed, solve_speed, sweep,
@@ -242,32 +241,30 @@ def test_rear_decay_rate(fisher_half):
     assert slope == pytest.approx(lam, rel=0.01)
 
 
-def test_fit_rear_constant_recovers_plant():
-    lam = lambda_plus(fisher(), 0.56)
-    y = np.linspace(-30.0, -5.0, 400)
-    u = 1.0 - 0.7 * np.exp(lam * y)
-    plant = Profile(y=y, u=u, uprime=np.gradient(u, y))
-    sol = dataclasses.replace(solve_speed(make_cutoff(fisher(), 0.5)),
-                              v_star=0.56)
-    sol.profile = plant
-    assert fit_rear_constant(sol) == pytest.approx(0.7, abs=1e-6)
-
-
 def test_fit_rear_constant_on_solution(fisher_half):
     amplitude = fit_rear_constant(fisher_half)
     assert 0.0 < amplitude < 10.0
-    # regression baseline recorded from the converged run
-    assert amplitude == pytest.approx(0.663413, abs=5e-4)
+    # eps*exp(lambda_plus*y_event), the unbiased rear amplitude
+    assert amplitude == pytest.approx(0.664245, abs=2e-5)
 
 
-def test_fit_rear_constant_needs_tail(fisher_half):
-    sol = fisher_half
-    short = Profile(y=sol.profile.y[-40:], u=sol.profile.u[-40:],
-                    uprime=sol.profile.uprime[-40:])
-    clone = dataclasses.replace(sol)
-    clone.profile = short
-    with pytest.raises(InsufficientTail):
-        fit_rear_constant(clone)
+@pytest.mark.parametrize("name", ["fisher", "cubic"])
+@pytest.mark.parametrize("u_c", [0.5, 0.1, 1e-3])
+def test_fit_rear_constant_reads_the_manifold_start(name, u_c):
+    # the path starts at 1 - U = eps, so A does not depend on eps to O(eps)
+    sols = [solve_speed(make_cutoff(by_name(name), u_c),
+                        config=ShootingConfig(epsilon_manifold=eps))
+            for eps in (1e-10, 1e-9, 1e-8)]
+    amplitudes = [fit_rear_constant(sol) for sol in sols]
+    assert max(amplitudes) - min(amplitudes) < 5e-6 * amplitudes[0]
+    # a least-squares fit of ln(1 - U) deep in the rear converges on it
+    sol = sols[0]
+    prof = assemble_profile(sol, -sol.y_event, 15.0 - sol.y_event, 20001)
+    one_minus = 1.0 - prof.u
+    mask = (one_minus > 1e-9) & (one_minus <= 1e-5)
+    lam = lambda_plus(by_name(name), sol.v_star)
+    intercept = np.polyfit(lam * prof.y[mask], np.log(one_minus[mask]), 1)[1]
+    assert math.exp(intercept) == pytest.approx(amplitudes[0], rel=5e-5)
 
 
 def test_assemble_profile_ranges(fisher_half):
