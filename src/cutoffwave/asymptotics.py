@@ -50,8 +50,9 @@ def small_uc_speed(u_c: float, constants: AsymptoticConstants,
     if not 0.0 < u_c < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {u_c}")
     a, b = constants.a_inf, constants.b_inf
-    if a <= 0.0:
-        raise ValueError("leading-edge constant A must be positive")
+    if not (0.0 < a < math.inf and abs(b) < math.inf):  # NaN fails it too
+        raise ValueError("leading-edge constants need A finite and positive "
+                         f"and B finite, got A={a!r}, B={b!r}")
     log_uc = math.log(u_c)
     pi2 = math.pi ** 2
     two_term = 2.0 - pi2 / log_uc ** 2

@@ -28,7 +28,7 @@ from .reference import AsymptoticConstants, fit_edge_constants, solve_reference
 from .solver import ShootingConfig, assemble_profile, solve_speed, sweep
 
 _CONFIG_ENV = "PTW_CONFIG"
-_CONFIG_KEYS = ("reaction", "tol_ode", "tol_shoot", "epsilon_manifold")
+_CONFIG_KEYS = ("reaction", "tol_ode", "tol_shoot")
 #: the library's settings, which a flag or config key overrides
 _DEFAULTS = ShootingConfig()
 
@@ -171,10 +171,8 @@ def _resolve(args) -> tuple[str, ReactionSpec, ShootingConfig]:
 
     tol_ode = pick(args.tol_ode, "tol_ode", _DEFAULTS.control.tol)
     tol_shoot = pick(args.tol_shoot, "tol_shoot", _DEFAULTS.residual_tol)
-    eps = pick(args.epsilon_manifold, "epsilon_manifold",
-               _DEFAULTS.epsilon_manifold)
     try:
-        config = ShootingConfig(residual_tol=tol_shoot, epsilon_manifold=eps,
+        config = ShootingConfig(residual_tol=tol_shoot,
                                 control=IntegrationControl(tol_ode))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -321,6 +319,10 @@ def _load_constants(source: str, reaction: ReactionSpec,
     except (KeyError, TypeError, ValueError):
         raise UsageError(
             f"{source}: expected JSON with numeric a_inf and b_inf") from None
+    # JSON's NaN and Infinity tokens parse as floats
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise UsageError(f"{source}: a_inf and b_inf must be finite, got "
+                         f"{a!r} and {b!r}")
     # compare reads A and B alone; the file's other keys are not parsed
     return AsymptoticConstants(a_inf=a, b_inf=b, gamma=math.nan,
                                fit_window=(math.nan, math.nan),
@@ -456,14 +458,11 @@ def _add_common(p: argparse.ArgumentParser, formats: list[str]) -> None:
 
 
 def _add_shooting(p: argparse.ArgumentParser, formats: list[str]) -> None:
-    """The common flags and the two that only a shooting command reads."""
+    """The common flags and the one that only a shooting command reads."""
     _add_common(p, formats)
     p.add_argument("--tol-shoot", type=float, default=None,
                    help="shooting residual tolerance "
                         f"(default {_DEFAULTS.residual_tol:g})")
-    p.add_argument("--epsilon-manifold", type=float, default=None,
-                   help="unstable-manifold offset "
-                        f"(default {_DEFAULTS.epsilon_manifold:g})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -502,9 +501,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reference",
                        help="leading-edge constants of the wave without cut-off")
-    # the reference wave is not shot against a threshold: no --tol-shoot
-    # or --epsilon-manifold, and _resolve keeps their defaults
-    p.set_defaults(run=_cmd_reference, tol_shoot=None, epsilon_manifold=None)
+    # the reference wave is not shot against a threshold: no --tol-shoot,
+    # and _resolve keeps its default
+    p.set_defaults(run=_cmd_reference, tol_shoot=None)
     p.add_argument("--window", type=float, nargs=2, default=[10.0, 25.0],
                    metavar=("LO", "HI"))
     _add_common(p, ["json", "csv"])

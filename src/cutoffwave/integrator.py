@@ -41,6 +41,7 @@ alpha = e^-t never reaches 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
@@ -83,6 +84,8 @@ _MAX_FACTOR = 10.0
 #: points it solves at once
 _NEWTON_CAP = 50
 _BLOCK = 4096
+#: 1 - U where a path leaves the saddle, unless its level lies closer
+_MANIFOLD_OFFSET = 1e-10
 
 
 @dataclass(frozen=True)
@@ -101,9 +104,13 @@ class IntegrationControl:
     initial_step: float = 1e-4
 
     def __post_init__(self) -> None:
-        # written so that NaN fails them too
-        if not (self.tol > 0.0 and self.initial_step > 0.0):
-            raise ValueError("tol and initial_step must be positive")
+        # written so that NaN fails them too; below the double precision
+        # epsilon the error test measures rounding and steps never settle
+        if not (self.tol >= sys.float_info.epsilon and self.initial_step > 0.0):
+            raise ValueError(f"tol must be at least {sys.float_info.epsilon!r}"
+                             " (double precision epsilon) and initial_step "
+                             f"positive, got {self.tol!r} and "
+                             f"{self.initial_step!r}")
 
 
 @dataclass(frozen=True)
@@ -466,13 +473,19 @@ class _Integration:
         traj.y_end = traj._y(t_end, r, math.log)
 
 
-def unstable_manifold_start(cutoff: CutoffReaction, v: float,
-                            epsilon: float = 1e-10) -> PhaseState:
+def manifold_offset(level: float) -> float:
+    """1 - U where a path to ``level`` leaves the saddle: 1e-10, or 1 -
+    level, exact there, for a level at or above 1 - 1e-10, whose path
+    then starts on it and takes no step."""
+    return 1.0 - level if level >= 1.0 - _MANIFOLD_OFFSET else _MANIFOLD_OFFSET
+
+
+def unstable_manifold_start(cutoff: CutoffReaction, v: float) -> PhaseState:
     """Linearized point on the saddle's unstable manifold entering the
-    region 0 < alpha < 1, beta < 0: (1 - eps, -lambda_plus(v) * eps)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    return PhaseState(1.0 - epsilon, -lambda_plus(cutoff.base, v) * epsilon)
+    region 0 < alpha < 1, beta < 0: (1 - eps, -lambda_plus(v) * eps), eps
+    = ``manifold_offset(u_c)``."""
+    eps = manifold_offset(cutoff.u_c)
+    return PhaseState(1.0 - eps, -lambda_plus(cutoff.base, v) * eps)
 
 
 def _trace(rate: Callable[[float], float], v: float, start: PhaseState,
@@ -575,8 +588,9 @@ def shoot_slope(cutoff: CutoffReaction, v: float, start: PhaseState,
     a = start.alpha
     if a < cutoff.u_c or not start.beta < 0.0:
         raise ValueError("need start.alpha >= u_c and start.beta < 0")
-    t = _t_of(a)
     t_end = -math.log(cutoff.u_c)
+    # a start on the threshold is its own event, however log1p rounds
+    t = _t_of(a) if a > cutoff.u_c else t_end
     return _shoot(cutoff.base.f, v, a, t, start.beta / a, t_end, control,
                   grid)[:3]
 

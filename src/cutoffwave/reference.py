@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import WindowTooNarrow
 from .integrator import (IntegrationControl, PhaseState, Trajectory,
-                         exp_each, trace_field_until_alpha)
+                         exp_each, manifold_offset, trace_field_until_alpha)
 from .reaction import ReactionSpec, gamma_rate, lambda_plus
 from .solver import Profile, snapped_grid
 
@@ -29,7 +29,6 @@ _FLOOR = 1e-14
 #: falls to this level (the trajectory itself runs on to the floor)
 _PROFILE_SAMPLES = 4001
 _PROFILE_FLOOR = 1e-11
-_MANIFOLD_OFFSET = 1e-10
 #: resampling step used for the edge fit
 _FIT_SPACING = 0.025
 
@@ -72,7 +71,7 @@ def solve_reference(reaction: ReactionSpec,
     front region has negative slope) and shifts the origin to U = 1/2.
     """
     v = _MIN_SPEED
-    eps = _MANIFOLD_OFFSET
+    eps = manifold_offset(_FLOOR)
     start = PhaseState(1.0 - eps, -lambda_plus(reaction, v) * eps)
     _, path = trace_field_until_alpha(reaction.f, v, start, _FLOOR, control)
     return ReferenceWave(y_shift=path.find_alpha(0.5)[0], reaction=reaction,

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import MaxIterations, NoSignChange, SpanExceeded, CutoffWaveError
 from .integrator import (IntegrationControl, StepGrid, Trajectory, exp_each,
-                         shoot_slope, trace_until_alpha,
+                         manifold_offset, shoot_slope, trace_until_alpha,
                          unstable_manifold_start)
 from .reaction import (CutoffReaction, ReactionSpec, lambda_plus,
                        make_cutoff, v_upper_bound)
@@ -124,14 +124,11 @@ _SEED_PAD = 40.0
 @dataclass(frozen=True)
 class ShootingConfig:
     residual_tol: float = 1e-8
-    epsilon_manifold: float = 1e-10
     control: IntegrationControl = field(default_factory=IntegrationControl)
 
     def __post_init__(self) -> None:
         if not self.residual_tol > 0.0:  # NaN fails it too
             raise ValueError("residual_tol must be positive")
-        if not 0.0 < self.epsilon_manifold < 1e-6:
-            raise ValueError("epsilon_manifold must lie in (0, 1e-6)")
 
 
 @dataclass
@@ -174,8 +171,7 @@ class WaveSolution:
         CutoffWaveError on a failed sweep row, whose speed is NaN.
         """
         v, config = self._speed(), self.config
-        start = unstable_manifold_start(self.cutoff, v,
-                                        config.epsilon_manifold)
+        start = unstable_manifold_start(self.cutoff, v)
         try:
             record, traj = trace_until_alpha(self.cutoff, v, start, self.u_c,
                                              config.control)
@@ -207,7 +203,7 @@ class WaveSolution:
         """y at which U_T = 1/2, in the frame with U_T(0) = u_c."""
         if self.u_c < 0.5:
             hit = self.trajectory.find_alpha(0.5)
-            if hit is None:  # unreachable for epsilon_manifold < 1/2
+            if hit is None:  # unreachable: the path starts above 1/2
                 raise CutoffWaveError("trajectory does not span U = 1/2")
             return hit[0] - self.y_event
         return math.log(2.0 * self.u_c) / self._speed()
@@ -215,14 +211,17 @@ class WaveSolution:
     def sample(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(U, U') on a 1-D array of y, with the threshold at y = 0.
 
-        The rear (y < 0) is read off the integrated trajectory; ahead of
-        the threshold the wave is exactly u_c * exp(-v*y).
+        The rear (y < 0) is read off the integrated trajectory, which is
+        read only where some y lies there (a path that starts on the
+        threshold has no steps); ahead of the threshold the wave is
+        exactly u_c * exp(-v*y).
         """
         v, u_c = self.v_star, self.u_c
         rear = y < 0.0
         u = np.empty_like(y)
         up = np.empty_like(y)
-        u[rear], up[rear] = self.trajectory.sample(y[rear] + self.y_event)
+        if rear.any():
+            u[rear], up[rear] = self.trajectory.sample(y[rear] + self.y_event)
         decay = exp_each(-v * y[~rear])
         u[~rear] = u_c * decay
         up[~rear] = -v * u_c * decay
@@ -235,19 +234,11 @@ class SpeedCurve:
     failures: dict[float, str] = field(default_factory=dict)
 
 
-def _check_start(cutoff: CutoffReaction, config: ShootingConfig) -> None:
-    if cutoff.u_c >= 1.0 - config.epsilon_manifold:
-        raise ValueError(
-            f"u_c={cutoff.u_c!r} is not below 1 - epsilon_manifold "
-            f"(epsilon_manifold={config.epsilon_manifold:g}), where every "
-            "shot starts; use a smaller --epsilon-manifold")
-
-
 def _gap(cutoff: CutoffReaction, v: float, config: ShootingConfig,
          grid: StepGrid | None = None) -> float | None:
     """p + v at the threshold from a slope shot (on ``grid`` if given),
     or None when it turns."""
-    start = unstable_manifold_start(cutoff, v, config.epsilon_manifold)
+    start = unstable_manifold_start(cutoff, v)
     try:
         p, _, _ = shoot_slope(cutoff, v, start, config.control, grid=grid)
     except SpanExceeded:
@@ -268,10 +259,8 @@ def shoot_residual(cutoff: CutoffReaction, v: float,
 
     Returns the positive sentinel +1 when the trajectory turns before
     reaching the threshold, which a KPP reaction never does.
-    Raises ValueError when u_c is not below 1 - epsilon_manifold.
     """
     config = config or ShootingConfig()
-    _check_start(cutoff, config)
     gap = _gap(cutoff, v, config)
     return 1.0 if gap is None else cutoff.u_c * gap
 
@@ -426,9 +415,7 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     further from zero, which bounds r(v*); 0 on an exact zero (lo == hi).
     ``n_iterations`` counts every search shot but the two opening bracket
     shots.  Raises MaxIterations when ``_MAX_SHOTS`` such shots leave
-    the bracket wider or the residual misses
-    ``config.residual_tol``, and ValueError when u_c is not below
-    1 - epsilon_manifold.
+    the bracket wider or the residual misses ``config.residual_tol``.
 
     The solve ends with the search: no shot keeps its path.  The returned
     :class:`WaveSolution` shoots its dense path at v* when ``trajectory``,
@@ -437,7 +424,6 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     """
     if config is None:
         config = ShootingConfig()
-    _check_start(cutoff, config)
     vub = min(_SPEED_CAP, v_upper_bound(cutoff))
     fine = config.control
     coarse = replace(fine, tol=max(_COARSE_TOL, fine.tol))
@@ -581,10 +567,10 @@ def fit_rear_constant(solution: WaveSolution) -> float:
     """Amplitude A of the rear tail 1 - U_T ~ A * exp(lambda_plus * y).
 
     The path starts on the saddle's linearized unstable manifold at
-    1 - U = epsilon_manifold, which is y = -y_event in the threshold
-    frame, so A = epsilon_manifold * exp(lambda_plus(v*) * y_event) to
-    O(epsilon_manifold); no profile is sampled or fitted.
+    1 - U = eps = ``manifold_offset(u_c)``, which is y = -y_event in the
+    threshold frame, so A = eps * exp(lambda_plus(v*) * y_event) to
+    O(eps); no profile is sampled or fitted.  A path that starts on the
+    threshold has y_event = 0, and A is 1 - u_c itself.
     """
     lam = lambda_plus(solution.cutoff.base, solution.v_star)
-    eps = solution.config.epsilon_manifold
-    return eps * math.exp(lam * solution.y_event)
+    return manifold_offset(solution.u_c) * math.exp(lam * solution.y_event)

@@ -86,6 +86,17 @@ def test_small_uc_rejects_bad_threshold():
         small_uc_speed(0.5, bad)
 
 
+@pytest.mark.parametrize("a,b", [(math.nan, -11.3), (math.inf, -11.3),
+                                 (0.0, -11.3), (3.5, math.nan),
+                                 (3.5, math.inf), (3.5, -math.inf)])
+def test_small_uc_rejects_non_finite_constants(a, b):
+    # a check written as `a <= 0` lets NaN through
+    bad = AsymptoticConstants(a_inf=a, b_inf=b, gamma=0.4,
+                              fit_window=(10.0, 25.0), fit_residual=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        small_uc_speed(1e-8, bad)
+
+
 def test_large_uc_fisher():
     pred = large_uc_speed(0.9, fisher())
     assert pred.V0 == 1.0

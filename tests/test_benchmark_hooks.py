@@ -1,7 +1,10 @@
 """The benchmark's tracer wraps program functions by name; a rename that
-drops one of them must fail here, not only in a traced benchmark run."""
+drops one of them must fail here, not only in a traced benchmark run.
+One seeded round of each workload must also pass the benchmark's own
+correctness gates."""
 
 import pathlib
+import random
 import sys
 
 import pytest
@@ -12,13 +15,20 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture
-def tracer(monkeypatch):
+def perfbench(monkeypatch):
     # perfbench/run.py puts its own directory on the path the same way
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    import tracer
-    yield tracer
+    # a config file would change what the CLI operations compute
+    monkeypatch.delenv("PTW_CONFIG", raising=False)
+    yield
     for name in ("tracer", "workloads", "hostspeed"):
         sys.modules.pop(name, None)
+
+
+@pytest.fixture
+def tracer(perfbench):
+    import tracer
+    return tracer
 
 
 def test_tracer_patches_and_restores_its_targets(tracer):
@@ -36,3 +46,14 @@ def test_tracer_patches_and_restores_its_targets(tracer):
     assert shots[0].info["steps"] > 0 and shots[0].info["legs"] == 1
     assert all(getattr(owner, attr) is original
                for owner, attr, original in patched)
+
+
+@pytest.mark.parametrize("name", ["sweep-warm", "solve-cold",
+                                  "profile-dense"])
+def test_seeded_round_passes_the_benchmark_gates(perfbench, tmp_path, name):
+    import workloads
+    wl = workloads.WORKLOADS[name]
+    results = wl.run_round(wl.make_round(random.Random(1)),
+                           workloads.Context(workdir=str(tmp_path)))
+    assert results
+    assert [(r.label, r.failure) for r in results if r.failure] == []

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -97,9 +98,45 @@ def test_solve_rejects_out_of_range(capsys):
 
 
 def test_solve_threshold_above_manifold_start(capsys):
-    code, _, err = run_cli(capsys, "solve", "--uc", "0.99999999999")
-    assert code == 2
-    assert "epsilon_manifold" in err and "--epsilon-manifold" in err
+    # above 1 - 1e-10 every shot starts on the threshold itself
+    code, out, _ = run_cli(capsys, "solve", "--uc", "0.99999999999")
+    assert code == 0
+    delta = 1.0 - 0.99999999999
+    assert json.loads(out)["v_star"] == pytest.approx(delta + delta ** 2 / 2,
+                                                      rel=1e-9)
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--epsilon-manifold", "1e-12"], None),
+    ([], "epsilon_manifold=1e-12\n")])
+def test_removed_manifold_offset_setting_refused(capsys, tmp_path,
+                                                 monkeypatch, argv, config):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        monkeypatch.setenv("PTW_CONFIG", str(cfg))
+    code, out, err = run_cli(capsys, "solve", "--uc", "0.5", *argv)
+    assert code == 2 and out == ""
+    assert ("--epsilon-manifold" if argv else "'epsilon_manifold'") in err
+
+
+@pytest.mark.parametrize("config", [None, "tol_ode=1e-22\n"])
+def test_tolerance_below_double_epsilon_refused(capsys, tmp_path,
+                                                monkeypatch, config):
+    # below the double precision epsilon the error test measures rounding,
+    # and a solve at 1e-22 ran for over a minute before it was refused
+    argv = ["solve", "--uc", "0.5"]
+    if config is None:
+        argv += ["--tol-ode", "1e-22"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        monkeypatch.setenv("PTW_CONFIG", str(cfg))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert repr(sys.float_info.epsilon) in err
 
 
 def test_solve_numerical_failure_exit(capsys):
@@ -613,6 +650,19 @@ def test_compare_reads_only_a_and_b(capsys, tmp_path, extra):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("text", ['{"a_inf": NaN, "b_inf": -11.3}',
+                                  '{"a_inf": 3.5, "b_inf": Infinity}',
+                                  '{"a_inf": -Infinity, "b_inf": NaN}'])
+def test_compare_rejects_non_finite_constants(capsys, tmp_path, text):
+    # json reads the NaN and Infinity tokens as floats
+    path = tmp_path / "constants.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "compare", "--uc", "0.5",
+                             "--constants-source", str(path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "finite" in err
 
 
 def test_compare_rejects_empty_threshold_list(capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,11 +22,26 @@ def fisher_energy(alpha, u_c):
 
 def test_manifold_start_values():
     f = fisher()
-    s = unstable_manifold_start(make_cutoff(f, 0.5), 0.0, 1e-10)
+    s = unstable_manifold_start(make_cutoff(f, 0.5), 0.0)
     assert s.alpha == 1.0 - 1e-10
     assert s.beta == pytest.approx(-1e-10, rel=1e-12)
-    s2 = unstable_manifold_start(make_cutoff(f, 0.5), 2.0, 1e-10)
+    s2 = unstable_manifold_start(make_cutoff(f, 0.5), 2.0)
     assert s2.beta == pytest.approx(-(math.sqrt(2) - 1) * 1e-10, rel=1e-12)
+    # a threshold above 1 - 1e-10 is the start itself, 1 - u_c exact there
+    for u_c in (1.0 - 1e-10, 1.0 - 1e-13, 1.0 - 2.0 ** -53):
+        s3 = unstable_manifold_start(make_cutoff(f, u_c), 2.0)
+        assert s3.alpha == u_c
+        assert s3.beta == -lambda_plus(f, 2.0) * (1.0 - u_c)
+    assert integrator.manifold_offset(0.999999999) == 1e-10
+
+
+def test_start_on_threshold_takes_no_step():
+    cut = make_cutoff(fisher(), 1.0 - 1e-11)
+    start = unstable_manifold_start(cut, 1e-11)
+    assert shoot_slope(cut, 1e-11, start) == (start.beta / start.alpha, 0, 0)
+    record, traj = trace_until_alpha(cut, 1e-11, start, cut.u_c)
+    assert (record.y_event, record.n_steps, record.state) == (0.0, 0, start)
+    assert len(traj) == 0 and traj.y_end == 0.0
 
 
 def test_immediate_event():
@@ -337,8 +353,9 @@ def test_path_leaves_the_saddle_as_its_linearization(name, u_c, v):
     # of the level 1 - d is ln(d/eps)/lambda_plus, to O(d)
     cut = make_cutoff(by_name(name), u_c)
     eps = 1e-10
-    _, traj = trace_until_alpha(cut, v, unstable_manifold_start(cut, v, eps),
-                                u_c)
+    start = unstable_manifold_start(cut, v)
+    assert start.alpha == 1.0 - eps
+    _, traj = trace_until_alpha(cut, v, start, u_c)
     lam = lambda_plus(cut.base, v)
     for d in np.geomspace(1e-9, 1e-6, 13).tolist():
         y = traj.find_alpha(1.0 - d)[0] - traj.y_start
@@ -369,6 +386,10 @@ def test_step_failure_on_non_finite_rate():
 def test_control_validation():
     with pytest.raises(ValueError):
         IntegrationControl(tol=0.0)
+    # below the double precision epsilon the error test measures rounding
+    with pytest.raises(ValueError, match=repr(sys.float_info.epsilon)):
+        IntegrationControl(tol=1e-17)
+    assert IntegrationControl(tol=sys.float_info.epsilon).tol > 0.0
     with pytest.raises(ValueError):
         IntegrationControl(initial_step=-1.0)
     # NaN passes a `<= 0` test
@@ -529,5 +550,6 @@ def test_step_grid_belongs_to_one_threshold_and_start():
     with pytest.raises(ValueError):
         _slope(make_cutoff(fisher(), 0.4), 0.56, grid=grid)
     with pytest.raises(ValueError):
-        shoot_slope(cut, 0.56, unstable_manifold_start(cut, 0.56, 1e-9),
+        shoot_slope(cut, 0.56, PhaseState(1.0 - 1e-9,
+                                          -lambda_plus(cut.base, 0.56) * 1e-9),
                     grid=grid)

@@ -8,11 +8,13 @@ import pytest
 from cutoffwave import (CutoffWaveError, MaxIterations, NoSignChange,
                         ReactionSpec, ShootingConfig, WaveSolution,
                         assemble_profile, by_name, cubic_kpp, fisher,
-                        fit_rear_constant, lambda_plus, make_cutoff,
+                        fit_rear_constant, lambda_plus, large_uc_speed,
+                        make_cutoff,
                         shoot_residual, small_uc_speed, solve_speed, sweep,
                         v_upper_bound)
 from cutoffwave import SpanExceeded, solver
-from cutoffwave.integrator import (IntegrationControl, shoot_slope,
+from cutoffwave.integrator import (IntegrationControl, PhaseState,
+                                   shoot_slope, trace_until_alpha,
                                    unstable_manifold_start)
 
 # Independent high-accuracy speeds, frozen from a phase-plane formulation
@@ -120,17 +122,53 @@ def test_warm_start_matches_cold_start(u_c):
     assert cold.bracket[1] <= 2.0 and warm.bracket[1] <= 2.0
 
 
-def test_threshold_at_manifold_start_refused():
-    # every shot starts at U = 1 - epsilon_manifold, above the threshold
+def test_threshold_at_manifold_start_solved():
+    # above 1 - 1e-10 every shot starts on the threshold, at 1 - U = 1 - u_c
     cut = make_cutoff(fisher(), 1.0 - 1e-11)
-    with pytest.raises(ValueError, match="epsilon_manifold"):
-        solve_speed(cut)
-    with pytest.raises(ValueError, match="epsilon_manifold"):
-        shoot_residual(cut, 0.5)
-    with pytest.raises(ValueError, match="epsilon_manifold"):
-        solve_speed(make_cutoff(fisher(), 1.0 - 1e-10))
-    assert solve_speed(cut, config=ShootingConfig(
-        epsilon_manifold=1e-12)).v_star < 1e-10
+    two_term = large_uc_speed(cut.u_c, cut.base).two_term
+    assert solve_speed(cut).v_star == pytest.approx(two_term, rel=1e-9)
+    assert shoot_residual(cut, 0.5) > 0.0 > shoot_residual(cut, 0.0)
+    cut = make_cutoff(fisher(), 1.0 - 1e-10)
+    two_term = large_uc_speed(cut.u_c, cut.base).two_term
+    assert solve_speed(cut).v_star == pytest.approx(two_term, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["fisher", "cubic"])
+def test_thresholds_next_to_one_follow_the_two_term_speed(name):
+    # v* = delta*V0 + delta^2*V1 + O(delta^3), delta = 1 - u_c; a start
+    # on the threshold leaves the linear start's O(delta) relative error
+    spec = by_name(name)
+    for delta in np.geomspace(1e-14, 1e-10, 9)[:-1].tolist():
+        u_c = 1.0 - delta
+        v = solve_speed(make_cutoff(spec, u_c)).v_star
+        assert v / large_uc_speed(u_c, spec).two_term - 1.0 == pytest.approx(
+            0.0, abs=1e-9)
+    # below about 1e-14 the bracket floor 1e-14 exceeds v* itself
+    for k in range(47, 54):
+        u_c = 1.0 - 2.0 ** -k
+        v = solve_speed(make_cutoff(spec, u_c)).v_star
+        assert v == pytest.approx(large_uc_speed(u_c, spec).two_term,
+                                  abs=1e-14)
+
+
+@pytest.mark.parametrize("name", ["fisher", "cubic"])
+def test_sweep_next_to_one_reads_cleanly(name):
+    curve = sweep(by_name(name), [1 - 1e-12, 1 - 1e-11, 1 - 1e-10, 1 - 1e-9])
+    assert not curve.failures
+    speeds = [row.v_star for row in curve.rows]
+    assert speeds == sorted(speeds) and len(set(speeds)) == 4
+    for row in curve.rows:
+        delta = 1.0 - row.u_c
+        prof = row.profile
+        assert prof.u[0] == pytest.approx(1.0, abs=2.0 * delta)
+        assert np.all(np.diff(prof.u) <= 0.0)
+        assert row.y_half == pytest.approx(math.log(2.0 * row.u_c)
+                                           / row.v_star)
+        if delta < 1e-10:  # the path starts on the threshold
+            assert len(row.trajectory) == 0 and row.y_event == 0.0
+            assert fit_rear_constant(row) == delta
+        else:
+            assert fit_rear_constant(row) == pytest.approx(delta, rel=1e-3)
 
 
 def test_only_final_shot_keeps_path(monkeypatch):
@@ -251,18 +289,22 @@ def test_fit_rear_constant_on_solution(fisher_half):
 @pytest.mark.parametrize("name", ["fisher", "cubic"])
 @pytest.mark.parametrize("u_c", [0.5, 0.1, 1e-3])
 def test_fit_rear_constant_reads_the_manifold_start(name, u_c):
-    # the path starts at 1 - U = eps, so A does not depend on eps to O(eps)
-    sols = [solve_speed(make_cutoff(by_name(name), u_c),
-                        config=ShootingConfig(epsilon_manifold=eps))
-            for eps in (1e-10, 1e-9, 1e-8)]
-    amplitudes = [fit_rear_constant(sol) for sol in sols]
+    # the path starts at 1 - U = 1e-10, so A = eps*exp(lambda_plus*y_event)
+    # of a path started at any small eps agrees with it to O(eps)
+    cut = make_cutoff(by_name(name), u_c)
+    sol = solve_speed(cut)
+    lam = lambda_plus(cut.base, sol.v_star)
+    amplitudes = [fit_rear_constant(sol)]
+    for eps in (1e-10, 1e-9, 1e-8):
+        record, _ = trace_until_alpha(
+            cut, sol.v_star, PhaseState(1.0 - eps, -lam * eps), u_c)
+        amplitudes.append(eps * math.exp(lam * record.y_event))
+    assert amplitudes[1] == amplitudes[0]
     assert max(amplitudes) - min(amplitudes) < 5e-6 * amplitudes[0]
     # a least-squares fit of ln(1 - U) deep in the rear converges on it
-    sol = sols[0]
     prof = assemble_profile(sol, -sol.y_event, 15.0 - sol.y_event, 20001)
     one_minus = 1.0 - prof.u
     mask = (one_minus > 1e-9) & (one_minus <= 1e-5)
-    lam = lambda_plus(by_name(name), sol.v_star)
     intercept = np.polyfit(lam * prof.y[mask], np.log(one_minus[mask]), 1)[1]
     assert math.exp(intercept) == pytest.approx(amplitudes[0], rel=5e-5)
 
@@ -641,8 +683,9 @@ def test_config_validation():
     # a NaN criterion would switch the residual check off
     with pytest.raises(ValueError):
         ShootingConfig(residual_tol=math.nan)
-    with pytest.raises(ValueError):
-        ShootingConfig(epsilon_manifold=1e-3)
+    # the manifold offset is worked out from u_c, not set
+    assert [f.name for f in dataclasses.fields(ShootingConfig)] == [
+        "residual_tol", "control"]
 
 
 def test_concurrent_solves_share_reactions():
