@@ -16,8 +16,8 @@ from .reaction import (BUILTIN_REACTIONS, CutoffReaction, ReactionSpec,
 from .reference import (AsymptoticConstants, ReferenceWave,
                         fit_edge_constants, solve_reference)
 from .solver import (Profile, ShootingConfig, SpeedCurve, WaveSolution,
-                     assemble_profile, fit_rear_constant, shoot_residual,
-                     solve_speed, sweep)
+                     assemble_profile, fit_rear_constant, profile_blocks,
+                     shoot_residual, solve_speed, sweep)
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "by_name", "cubic_kpp", "fisher", "fit_edge_constants",
     "fit_rear_constant", "gamma_rate", "lambda_plus", "large_uc_phase_path",
     "large_uc_speed", "make_cutoff", "measure_front_location",
-    "shoot_residual", "small_uc_speed", "solve_reference", "solve_speed",
-    "sweep", "trace_field_until_alpha", "trace_until_alpha",
+    "profile_blocks", "shoot_residual", "small_uc_speed", "solve_reference",
+    "solve_speed", "sweep", "trace_field_until_alpha", "trace_until_alpha",
     "unstable_manifold_start", "v_upper_bound", "validate_kpp",
 ]

@@ -25,7 +25,7 @@ from .errors import CutoffWaveError
 from .integrator import IntegrationControl
 from .reaction import BUILTIN_REACTIONS, ReactionSpec, by_name, make_cutoff
 from .reference import AsymptoticConstants, fit_edge_constants, solve_reference
-from .solver import ShootingConfig, assemble_profile, solve_speed, sweep
+from .solver import ShootingConfig, profile_blocks, solve_speed, sweep
 
 _CONFIG_ENV = "PTW_CONFIG"
 _CONFIG_KEYS = ("reaction", "tol_ode", "tol_shoot")
@@ -277,7 +277,7 @@ def _cmd_profile(args, name, reaction, config) -> int:
     u_c = _check_uc(args.uc)
     if args.y_min >= args.y_max:
         raise UsageError("--y-min must be below --y-max")
-    # NaN passes the test above; assemble_profile clamps -inf to the rear
+    # NaN passes the test above; profile_blocks clamps -inf to the rear
     if math.isnan(args.y_min):
         raise UsageError("--y-min must be a number, got nan")
     if not math.isfinite(args.y_max):
@@ -285,11 +285,14 @@ def _cmd_profile(args, name, reaction, config) -> int:
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
     sol = solve_speed(make_cutoff(reaction, u_c), None, config)
-    prof = assemble_profile(
+    blocks = profile_blocks(
         sol, args.y_min, args.y_max, args.samples,
         origin=sol.y_half if args.frame == "origin-at-half" else 0.0)
-    _write(["y", "U", "Uprime"], zip(prof.y, prof.u, prof.uprime),
-           args.format, args.output)
+    # each block is formatted before the next is sampled; Python floats
+    # print as numpy's do
+    rows = chain.from_iterable(zip(*(c.tolist() for c in block))
+                               for block in blocks)
+    _write(["y", "U", "Uprime"], rows, args.format, args.output)
     return 0
 
 

@@ -147,6 +147,8 @@ class Trajectory:
         self._inv = -t0 / p0  # 1/lambda, the saddle logarithm's factor
         # (t, r, p) where the path ends: the start until its leg has run
         self._end = (t0, 0.0, p0)
+        # alpha there, the level the path was traced to (None untraced)
+        self._level: float | None = None
         # per segment the flat 16-tuple of a step's stage values (t, h, r,
         # p, kr1, kr3..kr7, kp1, kp3..kp7): kr* and kp* are the slopes of
         # r and p at the stages the dense output weighs
@@ -248,15 +250,17 @@ class Trajectory:
 
         None when the level lies outside the path, above its start or
         below its end (always for a level <= 0).  At the level the path
-        was traced to, y is ``y_end``.
+        was traced to, y is ``y_end``, on a path with steps or without.
         """
-        if not (target > 0.0 and self._segments):
+        if not target > 0.0:
             return None
-        t = -math.log(target)
         t_end, _, p_end = self._end
-        if t == t_end:
+        # compared as a level: next to the saddle t_end is -log1p(level
+        # - 1), which may differ from -log(level) in the last bit
+        if target == self._level:
             return self.y_end, target, target * p_end
-        if not self._t0 <= t < t_end:
+        t = -math.log(target)
+        if not (self._segments and self._t0 <= t < t_end):
             return None
         rows = self._table()
         i = int(np.searchsorted(rows[:, 0], t, side="right")) - 1
@@ -452,6 +456,7 @@ class _Integration:
         self.n_steps = self.n_rejects = 0
         self.trajectory = Trajectory(0.0, _t_of(start.alpha),
                                      start.beta / start.alpha)
+        self.trajectory._level = start.alpha
 
     def advance_to_alpha(self, rate: Callable[[float], float],
                          alpha_stop: float) -> None:
@@ -469,7 +474,7 @@ class _Integration:
         self.n_steps += steps
         self.n_rejects += rejects
         self.state = PhaseState(alpha_stop, alpha_stop * p)
-        traj._end = (t_end, r, p)
+        traj._end, traj._level = (t_end, r, p), alpha_stop
         traj.y_end = traj._y(t_end, r, math.log)
 
 

@@ -57,14 +57,14 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import MaxIterations, NoSignChange, SpanExceeded, CutoffWaveError
-from .integrator import (IntegrationControl, StepGrid, Trajectory, exp_each,
-                         manifold_offset, shoot_slope, trace_until_alpha,
-                         unstable_manifold_start)
+from .integrator import (_BLOCK, IntegrationControl, StepGrid, Trajectory,
+                         exp_each, manifold_offset, shoot_slope,
+                         trace_until_alpha, unstable_manifold_start)
 from .reaction import (CutoffReaction, ReactionSpec, lambda_plus,
                        make_cutoff, v_upper_bound)
 
@@ -481,14 +481,19 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
                         cutoff, config)
 
 
-def assemble_profile(solution: WaveSolution, y_min: float, y_max: float,
-                     n_samples: int = 1201, origin: float = 0.0) -> Profile:
-    """Sample the wave on [y_min, y_max], y measured from ``origin`` in
-    the frame with the threshold at 0 (``solution.y_half``: U = 1/2).
+def profile_blocks(solution: WaveSolution, y_min: float, y_max: float,
+                   n_samples: int = 1201, origin: float = 0.0,
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The wave on [y_min, y_max] as (y, U, U') blocks of at most
+    ``_BLOCK`` (4,096) samples, each sampled when the iterator reaches
+    it, so a long window never holds more than one block; y is measured
+    from ``origin`` in the frame with the threshold at 0
+    (``solution.y_half``: U = 1/2).
 
     The window is clamped to the computed rear (one wholly behind it, or
     with y_min >= y_max or y_max infinite, raises ValueError), and the
     grid is snapped so one sample sits at y = 0; see ``WaveSolution.sample``.
+    These checks, and the clamp's read of the dense path, run at the call.
     """
     if not y_min < y_max < math.inf:  # NaN fails it too
         raise ValueError("need y_min < y_max < inf")
@@ -499,8 +504,15 @@ def assemble_profile(solution: WaveSolution, y_min: float, y_max: float,
         raise ValueError("requested window lies entirely behind the "
                          f"computed rear (which starts at y = {lo:.3f})")
     grid = snapped_grid(lo, y_max, n_samples)
-    u, up = solution.sample(grid + origin)
-    return Profile(y=grid, u=u, uprime=up)
+    blocks = (grid[k:k + _BLOCK] for k in range(0, n_samples, _BLOCK))
+    return ((y, *solution.sample(y + origin)) for y in blocks)
+
+
+def assemble_profile(solution: WaveSolution, y_min: float, y_max: float,
+                     n_samples: int = 1201, origin: float = 0.0) -> Profile:
+    """The whole window of ``profile_blocks`` as one ``Profile``."""
+    return Profile(*map(np.concatenate, zip(*profile_blocks(
+        solution, y_min, y_max, n_samples, origin))))
 
 
 def snapped_grid(lo: float, hi: float, n: int) -> np.ndarray:

@@ -68,18 +68,19 @@ def test_solve_skips_the_dense_shot(capsys, monkeypatch):
     # solve prints only the speed and its bracket: no profile is built
     # and no dense path is shot
     profiles, traced = [], []
-    assemble, trace = solver.assemble_profile, solver.trace_until_alpha
+    blocks, trace = solver.profile_blocks, solver.trace_until_alpha
 
-    def assembled(*args, **kwargs):
+    def sampled(*args, **kwargs):
         profiles.append(args)
-        return assemble(*args, **kwargs)
+        return blocks(*args, **kwargs)
 
     def tracing(*args, **kwargs):
         traced.append(args)
         return trace(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "assemble_profile", assembled)
-    monkeypatch.setattr(cli, "assemble_profile", assembled)
+    # the command's own name, and the one the default profile reads through
+    monkeypatch.setattr(solver, "profile_blocks", sampled)
+    monkeypatch.setattr(cli, "profile_blocks", sampled)
     monkeypatch.setattr(solver, "trace_until_alpha", tracing)
     code, out, _ = run_cli(capsys, "solve", "--uc", "1e-5")
     assert code == 0 and profiles == [] and traced == []
@@ -383,15 +384,15 @@ def test_profile_builds_no_default_profile(capsys, monkeypatch, frame):
     # the command assembles its own window once: the solution's default
     # profile of 1,201 samples is never read, so it is never assembled
     calls = []
-    assemble = solver.assemble_profile
+    blocks = solver.profile_blocks
 
-    def assembled(sol, y_min, y_max, n_samples=1201, **kwargs):
+    def sampled(sol, y_min, y_max, n_samples=1201, **kwargs):
         calls.append(n_samples)
-        return assemble(sol, y_min, y_max, n_samples, **kwargs)
+        return blocks(sol, y_min, y_max, n_samples, **kwargs)
 
-    # the command's own name, and the one the default profile calls
-    monkeypatch.setattr(cli, "assemble_profile", assembled)
-    monkeypatch.setattr(solver, "assemble_profile", assembled)
+    # the command's own name, and the one the default profile reads through
+    monkeypatch.setattr(cli, "profile_blocks", sampled)
+    monkeypatch.setattr(solver, "profile_blocks", sampled)
     code, out, _ = run_cli(capsys, "profile", "--uc", "0.2", "--samples",
                            "101", "--frame", frame)
     assert code == 0 and len(parse_csv(out)[1]) == 101
@@ -497,9 +498,11 @@ def test_profile_prints_assembled_profile(capsys):
 
 
 #: SHA-256 of the stdout of these commands, recorded before the command
-#: sampled its window through assemble_profile (the first five) and before
-#: CSV tables were written in blocks of rows (the rest: profiles on either
-#: side of a block edge, a pair cell, an int column and a compare table)
+#: sampled its window through assemble_profile (the first five), before
+#: CSV tables were written in blocks of rows (the next eight: profiles on
+#: either side of a row-block edge, a pair cell, an int column and a
+#: compare table) and before the command sampled its window a block at a
+#: time (the last five: profiles on either side of a sampling-block edge)
 OUTPUT_PINS = {
     ("profile", "--uc", "0.2", "--samples", "201", "--frame", "origin-at-uc"):
         "4a8c60e60e544d0e02d2dfa632e89225277c29e4e8564c7716d3eb8513634be1",
@@ -530,6 +533,17 @@ OUTPUT_PINS = {
         "08ea7a6a028f140570aa0581c60000ca0b87cc190b1a060450a6698134b7750b",
     ("compare", "--uc", "0.5,0.1,1e-3"):
         "bbdbb652e63ba27257c908d095fba10ae7338c386a7edc1b7dabf4bdf46b6b21",
+    ("profile", "--uc", "0.5", "--samples", "4095"):
+        "26c33365325aec37125dadc90466b36edee24cd7b89f1d6a40cbe7774c5d81de",
+    ("profile", "--uc", "0.5", "--samples", "4096"):
+        "2d3f3cf1cddc5dee568dfded2a14df84fb400aafbd0cf3aae59f1786bf2a57e1",
+    ("profile", "--uc", "0.5", "--samples", "4097"):
+        "76ece1f5ac027569216f7c4dda9c83546f264104cc6253edf65d3506f78b088d",
+    ("profile", "--uc", "0.5", "--samples", "8193"):
+        "c4583f711153280d85a9299ef6c5c5a8c3b1c11fe6081eb74e4c420de539453e",
+    ("profile", "--uc", "0.2", "--samples", "4097", "--frame",
+     "origin-at-half"):
+        "39394d72074f2db2b001fd352c5b288361e4692a27b55a38462856b2f94e60cb",
 }
 
 
@@ -555,6 +569,33 @@ def test_profile_writer_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert peak < 2_000_000
     assert target.stat().st_size > 6_000_000
+
+
+def test_profile_command_memory_is_per_block(tmp_path):
+    # the window is sampled and formatted a block at a time: past the
+    # grid itself (8 bytes a sample), the command holds one block
+    n = 200_001
+    argv = ["profile", "--uc", "0.5", "--samples", str(n), "--output",
+            str(tmp_path / "profile.csv")]
+    assert main(argv) == 0  # warm: imports and first-call caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n
+
+
+def test_profile_behind_the_rear_writes_no_output(capsys, tmp_path):
+    # the window is checked before the output file is opened
+    target = tmp_path / "profile.csv"
+    code, out, err = run_cli(capsys, "profile", "--uc", "0.3", "--y-min",
+                             "-1000", "--y-max", "-500", "--output",
+                             str(target))
+    assert code == 2 and out == ""
+    assert "behind" in err
+    assert not target.exists()
 
 
 def test_closed_stdout_ends_quietly():

@@ -12,7 +12,7 @@ from cutoffwave import (CutoffWaveError, MaxIterations, NoSignChange,
                         make_cutoff,
                         shoot_residual, small_uc_speed, solve_speed, sweep,
                         v_upper_bound)
-from cutoffwave import SpanExceeded, solver
+from cutoffwave import SpanExceeded, integrator, solver
 from cutoffwave.integrator import (IntegrationControl, PhaseState,
                                    shoot_slope, trace_until_alpha,
                                    unstable_manifold_start)
@@ -204,6 +204,19 @@ def test_find_alpha_lands_on_the_event():
 
 
 @pytest.mark.parametrize("name", ["fisher", "cubic"])
+@pytest.mark.parametrize("delta", [1e-10, 3e-11, 1e-11])
+def test_find_alpha_at_the_level_of_a_path_without_steps(name, delta):
+    # at or above 1 - 1e-10 the path starts on the threshold and takes no
+    # step; the level it was traced to is still read at its end
+    u_c = 1.0 - delta
+    sol = solve_speed(make_cutoff(by_name(name), u_c))
+    assert len(sol.trajectory) == 0
+    y, a, b = sol.trajectory.find_alpha(u_c)
+    assert (y, a, b) == (sol.y_event, u_c, u_c * sol.trajectory._end[2])
+    assert sol.trajectory.find_alpha(0.5) is None
+
+
+@pytest.mark.parametrize("name", ["fisher", "cubic"])
 @pytest.mark.parametrize("u_c", [0.9, 0.5, 1e-3, 1e-8])
 def test_dense_path_steps_as_a_cold_slope_shot(name, u_c):
     # the dense path is the slope loop at v* with the solve's control, so
@@ -327,6 +340,33 @@ def test_assemble_profile_ranges(fisher_half):
                          (-5.0, math.inf), (-1e3, -fisher_half.y_event - 1.0)):
         with pytest.raises(ValueError):
             assemble_profile(fisher_half, y_min=y_min, y_max=y_max)
+
+
+def test_profile_blocks_check_at_the_call(fisher_half):
+    # a bad window raises before any block is asked for
+    for y_min, y_max, n in ((2.0, 1.0, 11), (-5.0, math.inf, 11),
+                            (-1e3, -fisher_half.y_event - 1.0, 11),
+                            (-5.0, 2.0, 1)):
+        with pytest.raises(ValueError):
+            solver.profile_blocks(fisher_half, y_min, y_max, n)
+
+
+@pytest.mark.parametrize("frame", ["origin-at-uc", "origin-at-half"])
+def test_profile_blocks_match_one_read(frame):
+    # each sample is read on its own, so a window sampled a block at a
+    # time has the bits of one read of the whole grid
+    sol = solve_speed(make_cutoff(fisher(), 0.2))
+    origin = sol.y_half if frame == "origin-at-half" else 0.0
+    n = 3 * integrator._BLOCK + 5
+    blocks = list(solver.profile_blocks(sol, -40.0, 10.0, n, origin=origin))
+    assert [b[0].size for b in blocks] == [integrator._BLOCK] * 3 + [5]
+    prof = assemble_profile(sol, -40.0, 10.0, n, origin=origin)
+    grid = solver.snapped_grid(max(-40.0, -sol.y_event - origin), 10.0, n)
+    u, up = sol.sample(grid + origin)
+    assert grid[0] > -40.0 and grid[0] < 0.0 < grid[-1]  # rear and front
+    assert prof.y.tobytes() == grid.tobytes()
+    assert prof.u.tobytes() == u.tobytes()
+    assert prof.uprime.tobytes() == up.tobytes()
 
 
 def test_max_iterations_raised(monkeypatch):
