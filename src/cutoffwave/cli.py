@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .asymptotics import large_uc_speed, small_uc_speed
 from .errors import CutoffWaveError
-from .integrator import IntegrationControl
+from .integrator import _BLOCK, IntegrationControl
 from .reaction import BUILTIN_REACTIONS, ReactionSpec, by_name, make_cutoff
 from .reference import AsymptoticConstants, fit_edge_constants, solve_reference
 from .solver import ShootingConfig, profile_blocks, solve_speed, sweep
@@ -34,9 +34,6 @@ _DEFAULTS = ShootingConfig()
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
-#: CSV rows formatted by one ``%`` and written together
-_BLOCK_ROWS = 1024
-
 #: a speed row: these fields of a solution, which are also its columns
 _SPEED_COLUMNS = ("u_c", "v_star", "residual", "n_iterations")
 _speed_row = attrgetter(*_SPEED_COLUMNS)
@@ -46,65 +43,98 @@ class UsageError(Exception):
     pass
 
 
-def _flat(row: tuple) -> tuple:
+def _flat(row: Iterable) -> tuple:
     """The row with each (lo, hi) pair spread over two cells."""
     return tuple(x for cell in row
                  for x in (cell if isinstance(cell, tuple) else (cell,)))
 
 
-def _json_cell(cell):
-    """The cell as JSON writes it: a non-finite float, which JSON cannot
-    hold, as null, and a (lo, hi) pair as an array."""
-    if isinstance(cell, tuple):
-        return [_json_cell(x) for x in cell]
-    if isinstance(cell, float) and not math.isfinite(cell):
-        return None
-    return cell
+def _cells(block: np.ndarray | list[tuple]) -> list:
+    """The cells of a block of rows, row after row, pairs spread."""
+    if isinstance(block, np.ndarray):
+        return block.ravel().tolist()
+    return list(chain.from_iterable(map(_flat, block)))
 
 
-def _csv_blocks(header: Sequence[str], rows: Iterable[tuple]) -> Iterator[str]:
-    """The CSV text of a table: the header line, then blocks of up to
-    ``_BLOCK_ROWS`` rows, each formatted by one ``%``."""
-    rows = iter(rows)
-    first = next(rows)  # every command writes at least one row
+def _csv_blocks(header: Sequence[str], blocks: Iterable) -> Iterator[str]:
+    """The CSV text of a table: the header line, then each block of rows
+    formatted by one ``%`` of the row template over its cells."""
+    blocks = iter(blocks)
+    first = next(blocks)  # every command writes at least one row
     names = []
-    for name, cell in zip(header, first):
+    for name, cell in zip(header, first[0]):
         names += ([f"{name}_lo", f"{name}_hi"] if isinstance(cell, tuple)
                   else [name])
-    if len(names) > len(header):
-        first, rows = _flat(first), map(_flat, rows)
     # numpy floats format exactly as Python floats under "%.17g"
     template = ",".join("%d" if isinstance(c, int) else "%.17g"
-                        for c in first) + "\n"
+                        for c in _flat(first[0])) + "\n"
     yield ",".join(names) + "\n"
-    block = [first, *islice(rows, _BLOCK_ROWS - 1)]
-    while block:
-        yield (template * len(block)) % tuple(chain.from_iterable(block))
-        block = list(islice(rows, _BLOCK_ROWS))
+    for block in chain([first], blocks):
+        yield (template * len(block)) % tuple(_cells(block))
 
 
-def _write(header: Sequence[str], rows: Iterable[tuple], fmt: str,
-           path: str | None, one: bool = False) -> None:
+def _json_template(header: Sequence[str], row: Iterable, pad: str) -> str:
+    """An object like ``row`` as ``json.dumps(..., indent=2)`` writes it
+    with ``pad`` before every line but the first, a ``%s`` per cell."""
+    fields = ",\n".join(
+        f"{pad}  {json.dumps(name)}: " + (
+            f"[\n{pad}    %s,\n{pad}    %s\n{pad}  ]"
+            if isinstance(cell, tuple) else "%s")
+        for name, cell in zip(header, row))
+    return "{\n" + fields + "\n" + pad + "}"
+
+
+def _json_cells(block: np.ndarray | list[tuple]) -> tuple:
+    """The block's cells as a JSON template takes them: ``%s`` writes a
+    finite Python float as JSON does, and a non-finite float, which JSON
+    cannot hold, is written null."""
+    return tuple((float(c) if math.isfinite(c) else "null")
+                 if isinstance(c, float) else c for c in _cells(block))
+
+
+def _json_blocks(header: Sequence[str], blocks: Iterable) -> Iterator[str]:
+    """The JSON text of a table: the bytes of ``json.dumps(records,
+    indent=2)`` and a newline, each block of records formatted by one
+    ``%``."""
+    blocks = iter(blocks)
+    first = next(blocks)
+    template = "  " + _json_template(header, first[0], "  ")
+    separator = "[\n"
+    for block in chain([first], blocks):
+        yield separator
+        yield ",\n".join([template] * len(block)) % _json_cells(block)
+        separator = ",\n"
+    yield "\n]\n"
+
+
+def _write(header: Sequence[str], table: list[tuple] | Iterable[np.ndarray],
+           fmt: str, path: str | None, one: bool = False) -> None:
     """Write a table to ``path``, or to stdout when it is None.
 
-    csv: the header line, then every row through one template, floats
-    with 17 significant digits; a (lo, hi) cell becomes the two columns
-    name_lo and name_hi.  Rows are formatted and written a block at a
-    time, so the whole text is never held.  json: a list of objects, or
-    the single row's object when ``one`` is set; a pair becomes an array
-    and a non-finite float null.  svg: the speed chart of compare's rows.
+    ``table`` is a list of row tuples, written ``_BLOCK`` rows at a time,
+    or an iterator of blocks of float rows as 2-D arrays (a profile's),
+    each written before the next is drawn, so the whole text is never
+    held.  csv: the header line, then every row through one template,
+    floats with 17 significant digits; a (lo, hi) cell becomes the two
+    columns name_lo and name_hi.  json: a list of objects, or the single
+    row's object when ``one`` is set; a pair becomes an array and a
+    non-finite float null.  svg: the speed chart of compare's rows.
 
     A reader that closes stdout early ends the output quietly: the rest,
     and the interpreter's final flush, go to the null device.
     """
+    if isinstance(table, list):
+        table = [table[k:k + _BLOCK] for k in range(0, len(table), _BLOCK)]
     if fmt == "csv":
-        chunks = _csv_blocks(header, rows)
+        chunks = _csv_blocks(header, table)
     elif fmt == "svg":
-        chunks = [render_speed_chart([dict(zip(header, r)) for r in rows])]
+        chunks = [render_speed_chart([dict(zip(header, r))
+                                      for block in table for r in block])]
+    elif one:
+        row = table[0][:1]
+        chunks = [_json_template(header, row[0], "") % _json_cells(row) + "\n"]
     else:
-        records = [{name: _json_cell(cell) for name, cell in zip(header, row)}
-                   for row in rows]
-        chunks = [json.dumps(records[0] if one else records, indent=2) + "\n"]
+        chunks = _json_blocks(header, table)
     if path:
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -288,11 +318,9 @@ def _cmd_profile(args, name, reaction, config) -> int:
     blocks = profile_blocks(
         sol, args.y_min, args.y_max, args.samples,
         origin=sol.y_half if args.frame == "origin-at-half" else 0.0)
-    # each block is formatted before the next is sampled; Python floats
-    # print as numpy's do
-    rows = chain.from_iterable(zip(*(c.tolist() for c in block))
-                               for block in blocks)
-    _write(["y", "U", "Uprime"], rows, args.format, args.output)
+    # each block is written before the next is sampled
+    _write(["y", "U", "Uprime"], map(np.column_stack, blocks), args.format,
+           args.output)
     return 0
 
 

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import cutoffwave
@@ -215,6 +216,32 @@ def test_json_pair_cell_writes_null(capsys):
     out = capsys.readouterr().out
     assert json.loads(out, parse_constant=_refuse_constant) == {
         "a": None, "b": [0.5, None], "n": 3}
+
+
+def test_blocks_write_as_one_table(capsys):
+    # a table written a block at a time, from row tuples or from float
+    # arrays, is byte for byte the table written whole: one row template
+    # for CSV, one json.dumps of every record with a non-finite float as
+    # null for JSON
+    table = np.random.default_rng(0).standard_normal((2 * 4096 + 3, 3))
+    table[[5, 4096, -1], [1, 0, 2]] = math.nan, math.inf, -math.inf
+
+    def dumps(header, rows):
+        return json.dumps([
+            {name: x if isinstance(x, int) or math.isfinite(x) else None
+             for name, x in zip(header, row)} for row in rows], indent=2)
+
+    rows = [(y, np.float64(u), k)
+            for k, (y, u, _) in enumerate(table.tolist())]
+    cli._write(["y", "U", "n"], rows, "json", None)
+    assert capsys.readouterr().out == dumps(["y", "U", "n"], rows) + "\n"
+    cli._write(["y", "U", "n"], rows, "csv", None)
+    assert capsys.readouterr().out == "y,U,n\n" + "".join(
+        "%.17g,%.17g,%d\n" % row for row in rows)
+    blocks = (table[k:k + 4096] for k in range(0, len(table), 4096))
+    cli._write(["y", "U", "Uprime"], blocks, "json", None)
+    assert capsys.readouterr().out == dumps(["y", "U", "Uprime"],
+                                            table.tolist()) + "\n"
 
 
 def test_sweep_count_validation(capsys):
@@ -501,8 +528,9 @@ def test_profile_prints_assembled_profile(capsys):
 #: sampled its window through assemble_profile (the first five), before
 #: CSV tables were written in blocks of rows (the next eight: profiles on
 #: either side of a row-block edge, a pair cell, an int column and a
-#: compare table) and before the command sampled its window a block at a
-#: time (the last five: profiles on either side of a sampling-block edge)
+#: compare table), before the command sampled its window a block at a
+#: time (the next five: profiles on either side of a sampling-block edge)
+#: and before JSON was written a block at a time (the last seven)
 OUTPUT_PINS = {
     ("profile", "--uc", "0.2", "--samples", "201", "--frame", "origin-at-uc"):
         "4a8c60e60e544d0e02d2dfa632e89225277c29e4e8564c7716d3eb8513634be1",
@@ -544,6 +572,22 @@ OUTPUT_PINS = {
     ("profile", "--uc", "0.2", "--samples", "4097", "--frame",
      "origin-at-half"):
         "39394d72074f2db2b001fd352c5b288361e4692a27b55a38462856b2f94e60cb",
+    ("profile", "--uc", "0.5", "--samples", "4095", "--format", "json"):
+        "0853d8deedc594b91b735105ad84707baabd5d1592a280c63adb9aa06ab500de",
+    ("profile", "--uc", "0.5", "--samples", "4096", "--format", "json"):
+        "28bdbd99f63b1b5ff91e862ca18917e0801ff470f49d0aaaeb65b8a5366b6688",
+    ("profile", "--uc", "0.5", "--samples", "4097", "--format", "json"):
+        "38841566c3be2c8367f7af3de97ac86861a0f964788fd47b4194834fe5d602ac",
+    ("profile", "--uc", "0.2", "--samples", "4097", "--frame",
+     "origin-at-half", "--format", "json"):
+        "445c2206248c3f1fe7bad919356484fb37d06eb74a8bda4a9f3a7a2f5922fe32",
+    ("sweep", "--uc-min", "0.3", "--uc-max", "0.6", "--count", "5",
+     "--format", "json"):
+        "70ff772513ad7139637b5498e979535db79138675a9ae8b01b1f801396b738af",
+    ("compare", "--uc", "0.5,0.1,1e-3", "--format", "json"):
+        "c7daa5691cc9e55ee9deae801d6f8579132c714ea3004b03afd1e735ca8aff7c",
+    ("solve", "--uc", "0.5"):
+        "105f049c6577a0cf22421f54be84d3bb189613c923085f2342fe7f452152923d",
 }
 
 
@@ -559,11 +603,12 @@ def test_profile_writer_memory_is_bounded(tmp_path):
     # the writer never holds the whole 6 MB text of a dense profile
     sol = solve_speed(make_cutoff(fisher(), 0.5))
     prof = assemble_profile(sol, -30.0, 10.0, 100_001)
+    table = np.column_stack((prof.y, prof.u, prof.uprime))
+    blocks = (table[k:k + 4096] for k in range(0, len(table), 4096))
     target = tmp_path / "profile.csv"
     tracemalloc.start()
     try:
-        cli._write(["y", "U", "Uprime"], zip(prof.y, prof.u, prof.uprime),
-                   "csv", str(target))
+        cli._write(["y", "U", "Uprime"], blocks, "csv", str(target))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -571,12 +616,13 @@ def test_profile_writer_memory_is_bounded(tmp_path):
     assert target.stat().st_size > 6_000_000
 
 
-def test_profile_command_memory_is_per_block(tmp_path):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_profile_command_memory_is_per_block(tmp_path, fmt):
     # the window is sampled and formatted a block at a time: past the
     # grid itself (8 bytes a sample), the command holds one block
     n = 200_001
-    argv = ["profile", "--uc", "0.5", "--samples", str(n), "--output",
-            str(tmp_path / "profile.csv")]
+    argv = ["profile", "--uc", "0.5", "--samples", str(n), "--format", fmt,
+            "--output", str(tmp_path / f"profile.{fmt}")]
     assert main(argv) == 0  # warm: imports and first-call caches
     tracemalloc.start()
     try:
@@ -598,14 +644,17 @@ def test_profile_behind_the_rear_writes_no_output(capsys, tmp_path):
     assert not target.exists()
 
 
-def test_closed_stdout_ends_quietly():
-    # the reader stops after the header, with far more than a pipe buffer
-    # of rows still to come; the command still exits 0 and says nothing
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_ends_quietly(fmt):
+    # the reader stops after the first line, with far more than a pipe
+    # buffer of rows still to come; the command still exits 0 and says
+    # nothing
     proc = subprocess.Popen(
         [sys.executable, "-m", "cutoffwave.cli", "profile", "--uc", "0.5",
-         "--samples", "20001"],
+         "--samples", "20001", "--format", fmt],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
-    assert proc.stdout.readline() == b"y,U,Uprime\n"
+    assert proc.stdout.readline() == {"csv": b"y,U,Uprime\n",
+                                      "json": b"[\n"}[fmt]
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
