@@ -21,7 +21,9 @@ with p >= 0 (alpha has stopped falling) is rejected, so a path that
 turns ends in step-size underflow.
 
 A search shot, ``shoot_slope``, keeps only p at alpha = u_c and may
-replay the steps of another shot (``StepGrid``).  A dense leg, run for a
+replay the steps of another shot (``StepGrid``).  The solver starts it
+on the unstable manifold's power series (``manifold_series_start``), up
+to 1 - alpha = 0.3 away from the saddle.  A dense leg, run for a
 path that is read (``trace_until_alpha``), keeps each step's stage
 slopes: those of p, and those of y's remainder -1/p - 1/(lambda*t), what
 is left of y after ln(t/t0)/lambda, the exact y of the linear saddle (t0
@@ -44,7 +46,8 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable
+from operator import mul
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,6 +89,11 @@ _NEWTON_CAP = 50
 _BLOCK = 4096
 #: 1 - U where a path leaves the saddle, unless its level lies closer
 _MANIFOLD_OFFSET = 1e-10
+#: 1 - U where a search shot leaves the unstable manifold's power series,
+#: unless its threshold lies closer, and the terms summed: for Fisher and
+#: cubic at speeds in [0, 2] the last term there is below 5e-19 relative
+_SERIES_REACH = 0.3
+_SERIES_TERMS = 30
 
 
 @dataclass(frozen=True)
@@ -479,8 +487,8 @@ class _Integration:
 
 
 def manifold_offset(level: float) -> float:
-    """1 - U where a path to ``level`` leaves the saddle: 1e-10, or 1 -
-    level, exact there, for a level at or above 1 - 1e-10, whose path
+    """1 - U where a dense path to ``level`` leaves the saddle: 1e-10, or
+    1 - level, exact there, for a level at or above 1 - 1e-10, whose path
     then starts on it and takes no step."""
     return 1.0 - level if level >= 1.0 - _MANIFOLD_OFFSET else _MANIFOLD_OFFSET
 
@@ -488,9 +496,68 @@ def manifold_offset(level: float) -> float:
 def unstable_manifold_start(cutoff: CutoffReaction, v: float) -> PhaseState:
     """Linearized point on the saddle's unstable manifold entering the
     region 0 < alpha < 1, beta < 0: (1 - eps, -lambda_plus(v) * eps), eps
-    = ``manifold_offset(u_c)``."""
+    = ``manifold_offset(u_c)``, where a dense path starts.
+
+    The series' next term is about eps = 1e-10 relative to this one, and
+    that miss lies off the manifold, where it dies out as the path
+    leaves the saddle; so the dense path keeps its linear start, and
+    with it the rear its profile windows and ``fit_rear_constant`` read.
+    """
     eps = manifold_offset(cutoff.u_c)
     return PhaseState(1.0 - eps, -lambda_plus(cutoff.base, v) * eps)
+
+
+def manifold_series(coefficients: Sequence[float], v: float) -> list[float]:
+    """(b1, ..., b30) of the unstable manifold beta(w) = sum b_k w^k, where
+    w = 1 - U, beta = U' and f(1 - w) = sum c_k w^k (``coefficients``).
+
+    Along the manifold beta*dbeta/dw = v*beta + f(1 - w).  Its w^1 terms
+    give b1^2 - v*b1 = c1, whose negative root b1 = (v - sqrt(v^2 +
+    4*c1))/2 = -lambda_plus enters U < 1 falling; its w^k terms give,
+    for k >= 2, b_k*((k+1)*b1 - v) = c_k - sum_{i=2}^{k-1} (k+1-i)*b_i*
+    b_{k+1-i}, and pairing i with k+1-i folds that sum into (k+1)/2 times
+    the convolution sum_{i=2}^{k-1} b_i*b_{k+1-i}.
+    """
+    n = _SERIES_TERMS
+    b1 = 0.5 * (v - math.sqrt(v * v + 4.0 * coefficients[0]))
+    c = [*coefficients[1:n], *[0.0] * (n - len(coefficients))]
+    rising, falling = [], []  # b_2..b_{k-1}, and the same reversed
+    for k in range(2, n + 1):
+        b = ((c[k - 2] - 0.5 * (k + 1) * sum(map(mul, rising, falling)))
+             / ((k + 1) * b1 - v))
+        rising.append(b)
+        falling.insert(0, b)
+    return [b1, *rising]
+
+
+def manifold_series_start(cutoff: CutoffReaction, v: float) -> PhaseState:
+    """The point (1 - w0, beta(w0)) on ``manifold_series`` where a search
+    shot starts, w0 = min(0.3, 1 - u_c).
+
+    Next to the saddle the slope field is stiff like 1/t (t = -ln U), and
+    the series crosses that stretch with no step.  w0 is halved, to no
+    less than the dense path's 1e-10, until beta(w0) < 0 and the last
+    term is below rounding relative to it: a reaction whose series
+    converges on less reach, or whose path turns near the saddle, starts
+    closer in.  A threshold at or above 0.7 is the start itself (1 - u_c
+    is exact there), so its shot takes no step and p + v = beta(1 -
+    u_c)/u_c + v in closed form.
+    """
+    if not v >= 0.0:  # NaN fails it too
+        raise ValueError("speed must be non-negative")
+    b = manifold_series(cutoff.base.coefficients, v)
+    w = min(_SERIES_REACH, 1.0 - cutoff.u_c)
+    while True:
+        a = 1.0 - w
+        w = 1.0 - a  # the w of the float a, exact for a >= 1/2
+        beta = 0.0
+        for b_k in reversed(b):  # Horner's rule
+            beta = (beta + b_k) * w
+        if (beta < 0.0 and abs(b[-1]) * w ** _SERIES_TERMS
+                <= 0.5 * sys.float_info.epsilon * -beta
+                or w <= _MANIFOLD_OFFSET):
+            return PhaseState(a, beta)
+        w *= 0.5
 
 
 def _trace(rate: Callable[[float], float], v: float, start: PhaseState,

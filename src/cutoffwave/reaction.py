@@ -15,24 +15,38 @@ from typing import Callable
 
 @dataclass(frozen=True)
 class ReactionSpec:
-    """A KPP reaction with precomputed derivative data at u = 1.
+    """A KPP reaction with its polynomial form about u = 1.
 
-    The derivatives are supplied in closed form rather than differenced:
-    the asymptotic speed formulas need f'(1) and f''(1) to machine
-    precision.  ``sup_f(u_c)`` must return sup of f over (u_c, 1].
+    ``coefficients`` are (c1, c2, ...) of the polynomial f(1 - w) = c1*w +
+    c2*w^2 + ..., which f must equal at least for w in [0, 0.3]: search
+    shots start on the unstable manifold's power series built from it,
+    and the asymptotic speed formulas read f'(1) = -c1 and f''(1) = 2*c2
+    to machine precision.  ``sup_f(u_c)`` must return sup of f over
+    (u_c, 1].
     """
 
     name: str
     f: Callable[[float], float]
-    fprime_at_1: float
-    fdoubleprime_at_1: float
+    coefficients: tuple[float, ...]
     sup_f: Callable[[float], float]
 
     def __post_init__(self) -> None:
         if abs(self.f(0.0)) > 1e-14 or abs(self.f(1.0)) > 1e-14:
             raise ValueError("reaction must vanish at u=0 and u=1")
-        if self.fprime_at_1 >= 0.0:
-            raise ValueError("reaction must have f'(1) < 0")
+        c = tuple(map(float, self.coefficients))
+        if not (c and c[0] > 0.0 and all(map(math.isfinite, c))):
+            raise ValueError("reaction must have finite coefficients of "
+                             "f(1 - w), with f'(1) = -c1 < 0")
+        object.__setattr__(self, "coefficients", c)
+
+    @property
+    def fprime_at_1(self) -> float:
+        return -self.coefficients[0]
+
+    @property
+    def fdoubleprime_at_1(self) -> float:
+        c = self.coefficients
+        return 2.0 * c[1] if len(c) > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -70,8 +84,9 @@ def fisher() -> ReactionSpec:
         # f peaks at u = 1/2
         return 0.25 if u_c <= 0.5 else u_c * (1.0 - u_c)
 
-    return ReactionSpec(name="fisher", f=f, fprime_at_1=-1.0,
-                        fdoubleprime_at_1=-2.0, sup_f=sup_f)
+    # f(1 - w) = w - w^2
+    return ReactionSpec(name="fisher", f=f, coefficients=(1.0, -1.0),
+                        sup_f=sup_f)
 
 
 def cubic_kpp() -> ReactionSpec:
@@ -86,8 +101,9 @@ def cubic_kpp() -> ReactionSpec:
         # f peaks at u = 1/sqrt(3)
         return f(peak) if u_c <= peak else f(u_c)
 
-    return ReactionSpec(name="cubic", f=f, fprime_at_1=-2.0,
-                        fdoubleprime_at_1=-6.0, sup_f=sup_f)
+    # f(1 - w) = 2w - 3w^2 + w^3
+    return ReactionSpec(name="cubic", f=f, coefficients=(2.0, -3.0, 1.0),
+                        sup_f=sup_f)
 
 
 #: Reactions addressable by name from the CLI and config files.

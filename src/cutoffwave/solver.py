@@ -18,7 +18,11 @@ off near +1.  The bracket never reaches past the KPP bound 2 (the paper
 proves v* < 2), so no trial speed is stiff.  Every search shot is a
 slope shot (``shoot_slope``): it steps p = U'/U against ln U and ends
 exactly at ln u_c, so p + v, which carries the sign, is resolved to the
-integration tolerance at every threshold.
+integration tolerance at every threshold.  It starts on the unstable
+manifold's power series at 1 - U = min(0.3, 1 - u_c)
+(``manifold_series_start``), past the stretch next to the saddle where
+the slope field is stiff; at or above u_c = 0.7 it starts on the
+threshold itself and p + v is in closed form.
 
 The search runs in two stages.  Stage 1 shoots at the ODE tolerance
 relaxed to ``_COARSE_TOL`` and stops once its bracket is about
@@ -30,10 +34,11 @@ the secant slope across stage 1's final bracket, and shoots a pair of
 speeds a width floor near machine precision apart around that step.
 That pair straddles v* at most thresholds above 1e-20.  Below, r bends
 enough over stage 1's bracket that the pair mostly misses, and up to two
-more pairs follow, each from the last pair's end nearer v*.  Where no slope is usable (stage 1
-ended on an exact zero or a turned shot) or every pair misses, stage 2
-brackets +-``_FINE_HALF_WIDTH`` around stage 1's midpoint, widens it
-when a sign disagrees and collapses it with the root finder.  Stage 1
+more pairs follow, each from the last pair's end nearer v*.  Where no
+slope is usable (stage 1 ended on an exact zero or a turned shot) or
+every pair misses, stage 2 brackets +-``_FINE_HALF_WIDTH`` around stage
+1's midpoint, widens it when a sign disagrees and collapses it with the
+root finder.  Stage 1
 is skipped when the caller's tolerance is already that loose.
 Each stage's first shot records a ``StepGrid`` that its later shots
 replay (see ``shoot_slope``): within a stage the search value is then
@@ -41,7 +46,9 @@ one function of v, and a shot costs its stage arithmetic alone until a
 step fails the error test.  A cold search below u_c = 1e-3 opens at the
 paper's two-term speed 2 - pi^2/(ln u_c)^2 instead of [0, 2].
 The search stops on the bracket width, not on r: r carries the factor
-u_c, so it cannot pin the speed for small u_c.  r changes sign across
+u_c, so it cannot pin the speed for small u_c.  Below v = 1 the width
+floor is relative to v, so a speed near u_c = 1, where v* ~ 1 - u_c,
+keeps its digits.  r changes sign across
 stage 2's final bracket, whose ends were shot at the caller's tolerance
 on one grid, so the end further from zero bounds r(v*) and is held to
 the residual criterion.  No search shot keeps its path: the dense path
@@ -55,6 +62,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -63,8 +71,9 @@ import numpy as np
 
 from .errors import MaxIterations, NoSignChange, SpanExceeded, CutoffWaveError
 from .integrator import (_BLOCK, IntegrationControl, StepGrid, Trajectory,
-                         exp_each, manifold_offset, shoot_slope,
-                         trace_until_alpha, unstable_manifold_start)
+                         exp_each, manifold_offset, manifold_series_start,
+                         shoot_slope, trace_until_alpha,
+                         unstable_manifold_start)
 from .reaction import (CutoffReaction, ReactionSpec, lambda_plus,
                        make_cutoff, v_upper_bound)
 
@@ -73,7 +82,8 @@ from .reaction import (CutoffReaction, ReactionSpec, lambda_plus,
 #: p + v produces it; shoot_residual reports such a shot as +1
 TURNED_SENTINEL = 2.0
 
-#: the root finder stops once the speed bracket is this narrow (v is O(1))
+#: the root finder stops once the speed bracket is this narrow, times |v|
+#: below v = 1
 _BRACKET_WIDTH_FLOOR = 1e-14
 
 #: stage 1 shoots at this ODE tolerance, or at the caller's if looser
@@ -235,10 +245,12 @@ class SpeedCurve:
 
 
 def _gap(cutoff: CutoffReaction, v: float, config: ShootingConfig,
-         grid: StepGrid | None = None) -> float | None:
-    """p + v at the threshold from a slope shot (on ``grid`` if given),
-    or None when it turns."""
-    start = unstable_manifold_start(cutoff, v)
+         grids: defaultdict[float, StepGrid] | None = None) -> float | None:
+    """p + v at the threshold from a slope shot off the manifold's series,
+    or None when it turns.  With ``grids`` the shot records or replays
+    the step grid of its start's alpha (see ``shoot_slope``)."""
+    start = manifold_series_start(cutoff, v)
+    grid = None if grids is None else grids[start.alpha]
     try:
         p, _, _ = shoot_slope(cutoff, v, start, config.control, grid=grid)
     except SpanExceeded:
@@ -247,9 +259,10 @@ def _gap(cutoff: CutoffReaction, v: float, config: ShootingConfig,
 
 
 def _search_value(cutoff: CutoffReaction, v: float, config: ShootingConfig,
-                  grid: StepGrid | None = None) -> float:
+                  grids: defaultdict[float, StepGrid] | None = None,
+                  ) -> float:
     """atan(p + v), r's sign kept O(1), or TURNED_SENTINEL."""
-    gap = _gap(cutoff, v, config, grid)
+    gap = _gap(cutoff, v, config, grids)
     return TURNED_SENTINEL if gap is None else math.atan(gap)
 
 
@@ -277,7 +290,8 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, r_lo: float,
     interpolated step is unsafe, a point carries the turned-shot
     sentinel, or the bracket lags more than _BISECTION_SLACK halvings
     behind bisection's pace.  Stops once the half-width is within
-    2*eps*|b| + floor/2, or on an exact zero, returned as
+    2*eps*|b| + floor*min(1, |b|)/2 (|c| for |b| while b = 0), or on an
+    exact zero, returned as
     (b, b).  Returns the final bracket (lo, hi), f at its ends and the
     number of calls of f; raises MaxIterations when max_iter calls leave
     the bracket wider.
@@ -291,7 +305,10 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, r_lo: float,
             d = e = b - a
         if abs(fc) < abs(fb):
             a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
-        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * floor
+        # at b = 0 the floor scales by the bracket's other end, so no
+        # step is 0
+        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * floor * min(
+            1.0, abs(b) or abs(c))
         m = 0.5 * (c - b)
         if fb == 0.0:
             return b, b, fb, fb, n
@@ -358,12 +375,12 @@ def _newton_pair(f: Callable[[float], float], lo: float, hi: float,
     """Open stage 2 from stage 1's final bracket [lo, hi] and its values.
 
     Shoots the midpoint, which records the grid, then the pair v1 +-
-    _BRACKET_WIDTH_FLOOR/2 around the Newton step v1 from it on stage
-    1's secant slope across [lo, hi].  After a pair that misses the
-    root, the next Newton step starts from its end nearer the root, on
-    the slope there of the parabola through the midpoint and that end
-    that has stage 1's slope at the midpoint.  Returns the first pair
-    that straddles the root, with f at its ends, or None when
+    _BRACKET_WIDTH_FLOOR*min(1, |v1|)/2 around the Newton step v1 from
+    it on stage 1's secant slope across [lo, hi].  After a pair that
+    misses the root, the next Newton step starts from its end nearer the
+    root, on the slope there of the parabola through the midpoint and
+    that end that has stage 1's slope at the midpoint.  Returns the
+    first pair that straddles the root, with f at its ends, or None when
     _NEWTON_PAIRS pairs miss or a slope is unusable (an exact zero, a
     turned shot, not rising).
     """
@@ -377,7 +394,8 @@ def _newton_pair(f: Callable[[float], float], lo: float, hi: float,
             return None
         step = v - g / slope
         # rounding the ends widens the pair by at most 2*eps*|step|
-        half = 0.5 * _BRACKET_WIDTH_FLOOR - sys.float_info.epsilon * abs(step)
+        half = (0.5 * _BRACKET_WIDTH_FLOOR * min(1.0, abs(step))
+                - sys.float_info.epsilon * abs(step))
         a, b = max(0.0, step - half), min(step + half, vub)
         if not a < b:  # the step left [0, vub]
             return None
@@ -409,8 +427,10 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
     one straddles the root (see ``_newton_pair``).  Without a usable
     slope, or when every pair misses, it opens +-``_FINE_HALF_WIDTH``
     around stage 1's midpoint, widens it the same way and collapses it
-    to ``_BRACKET_WIDTH_FLOOR``.  A stage's shots replay the step grid
-    of its first shot.  ``v_star`` is the midpoint of stage 2's
+    to ``_BRACKET_WIDTH_FLOOR``.  Both width floors scale by v below v
+    = 1.  Every search shot starts on the manifold's series
+    (``manifold_series_start``), and a stage's shots replay the step
+    grid of its first shot.  ``v_star`` is the midpoint of stage 2's
     bracket.  ``residual`` is u_c*(p + v) at the end of that bracket
     further from zero, which bounds r(v*); 0 on an exact zero (lo == hi).
     ``n_iterations`` counts every search shot but the two opening bracket
@@ -431,12 +451,14 @@ def solve_speed(cutoff: CutoffReaction, guess: float | None = None,
 
     def search(control: IntegrationControl) -> Callable[[float], float]:
         stage_config = replace(config, control=control)
-        grid = StepGrid()  # recorded by the stage's first shot
+        # recorded by the stage's first shot: one, unless the series
+        # start moves in with v
+        grids = defaultdict(StepGrid)
 
         def f(v: float) -> float:
             nonlocal shots
             shots += 1
-            return _search_value(cutoff, v, stage_config, grid)
+            return _search_value(cutoff, v, stage_config, grids)
         return f
 
     def collapse(f: Callable[[float], float], ends: tuple[float, ...],

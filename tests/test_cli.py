@@ -530,64 +530,66 @@ def test_profile_prints_assembled_profile(capsys):
 #: either side of a row-block edge, a pair cell, an int column and a
 #: compare table), before the command sampled its window a block at a
 #: time (the next five: profiles on either side of a sampling-block edge)
-#: and before JSON was written a block at a time (the last seven)
+#: and before JSON was written a block at a time (the last seven).  All
+#: but ``reference`` were recorded again when search shots came to start
+#: on the unstable manifold's power series, which moved the speeds
 OUTPUT_PINS = {
     ("profile", "--uc", "0.2", "--samples", "201", "--frame", "origin-at-uc"):
-        "4a8c60e60e544d0e02d2dfa632e89225277c29e4e8564c7716d3eb8513634be1",
+        "cf460daeb64a0a6de28c650e0841ae0f0aee317965b66c899d8d619355e1a450",
     ("profile", "--uc", "0.2", "--samples", "201", "--frame",
      "origin-at-half"):
-        "0f906ef986797cedb9c0c12b82d2325b9dc7aea9aad4e83330a5c712206b9f0b",
+        "bf7e07ba09b745e577f9c0209c88ff3f51fe8271ffa949363ebd1914c5ff64bc",
     ("profile", "--reaction", "cubic", "--uc", "1e-3", "--samples", "201",
      "--frame", "origin-at-uc"):
-        "26a0cf8a95b0c9841504546e0bc331c81e9da0379913f233cbce1f8f8d7888de",
+        "930f852bb461c3d2b6e88b610e4a688e00d79fd09d90e25118c7a297c275499c",
     ("profile", "--reaction", "cubic", "--uc", "1e-3", "--samples", "201",
      "--frame", "origin-at-half"):
-        "76ab4c892961a67aadacacb227b6f241bab15b69e9a2ed86c45b8198b4778635",
+        "3f65749ad79471d11be77e2b3411512ef0af31ad70587b703ab5a2b7e29fede8",
     ("reference",):
         "a49b9f4a173a4e18b3759a82262ed9eae757a2eee893c50473ac36a13af0f2bc",
     ("profile", "--uc", "0.5", "--samples", "1023"):
-        "1eebd235bdfba483658060aba8d9ee9f49164eb7288ae13a8a4d1dad09e2727b",
+        "f5f9268d55bef7eec297fe1c49742c77caf03b83796c610467283011fb4c6f89",
     ("profile", "--uc", "0.5", "--samples", "1024"):
-        "fca435686750e5507fb3f9717900c2281489f5bc5196b438d4b097208a4a95ff",
+        "e9a3b35aac76637a5f88f4c62d1d5f02c8db8cfe6b96418690ce39d81b953fee",
     ("profile", "--uc", "0.5", "--samples", "1025"):
-        "96f16d6a67165bed23b882209ece386306f586d4be450d676dc7b1a345400a49",
+        "37ed115a04527b78acb4475863641e327d9e0827a9aa8dda4feea43ecc171145",
     ("profile", "--uc", "0.5", "--samples", "2049"):
-        "696732b277ca28529f4383ca7ae88430913c3f6e8fa5495b0f0fa7a25d8013f9",
+        "0d588a1b5b29019ffefce773e929ba328c861326c69ab9895a684ff0b7e66db7",
     ("profile", "--uc", "0.5", "--samples", "100001"):
-        "84d8032347d3c2913ede59bbd3de9d3f34a3c57090648aef972c02ecca82aed7",
+        "c058ef5b6698199498b680175517801d8bb1b5ee0b1bc146aa4a9bd49c355abb",
     ("solve", "--uc", "0.5", "--format", "csv"):
-        "6b51df39b97f78ad19bb8543385c667f85b4df8416c4eb4fe93c731720359b20",
+        "3676f8aec539767013df6d3e4db5a60c4e12a563c67f5d7b1731a2cc3172a7b0",
     ("sweep", "--uc-min", "0.3", "--uc-max", "0.6", "--count", "5"):
-        "08ea7a6a028f140570aa0581c60000ca0b87cc190b1a060450a6698134b7750b",
+        "0b7c3b46905b9daf57bf56138cb5a7d8695452109eee83049bcf45ca924fd455",
     ("compare", "--uc", "0.5,0.1,1e-3"):
-        "bbdbb652e63ba27257c908d095fba10ae7338c386a7edc1b7dabf4bdf46b6b21",
+        "81d9d8e600ac5524a20b6b39f2c9e1f39e5921676ee810aec086c71507055bd2",
     ("profile", "--uc", "0.5", "--samples", "4095"):
-        "26c33365325aec37125dadc90466b36edee24cd7b89f1d6a40cbe7774c5d81de",
+        "5d3b78d5099ded9a3667482f1b5647a9163c52480a9c8f94d27b5d0ed86c6800",
     ("profile", "--uc", "0.5", "--samples", "4096"):
-        "2d3f3cf1cddc5dee568dfded2a14df84fb400aafbd0cf3aae59f1786bf2a57e1",
+        "8a4ced2e3d6981690865b5901cb28f723f36c2c8a074cc80636e6cc9c877922e",
     ("profile", "--uc", "0.5", "--samples", "4097"):
-        "76ece1f5ac027569216f7c4dda9c83546f264104cc6253edf65d3506f78b088d",
+        "b5f16888607c708699384acac9c2a207abecced096a02897d8e3261f192985fe",
     ("profile", "--uc", "0.5", "--samples", "8193"):
-        "c4583f711153280d85a9299ef6c5c5a8c3b1c11fe6081eb74e4c420de539453e",
+        "816271705a95160df680d51b5bc48039c42ea888575f4997848a493741656607",
     ("profile", "--uc", "0.2", "--samples", "4097", "--frame",
      "origin-at-half"):
-        "39394d72074f2db2b001fd352c5b288361e4692a27b55a38462856b2f94e60cb",
+        "f8f4386d60608395eaabbe47920fdb0eab224a956b82f2132b87e7953ca5dab1",
     ("profile", "--uc", "0.5", "--samples", "4095", "--format", "json"):
-        "0853d8deedc594b91b735105ad84707baabd5d1592a280c63adb9aa06ab500de",
+        "1b76f383ec55a2d47d4fb374ffd8708beae7e28d07b55a89e0a4c951972f0fa2",
     ("profile", "--uc", "0.5", "--samples", "4096", "--format", "json"):
-        "28bdbd99f63b1b5ff91e862ca18917e0801ff470f49d0aaaeb65b8a5366b6688",
+        "c538a0278c7cad5dacd51a197aa789d2938ef9d416d7bf669c7c227b7a09a049",
     ("profile", "--uc", "0.5", "--samples", "4097", "--format", "json"):
-        "38841566c3be2c8367f7af3de97ac86861a0f964788fd47b4194834fe5d602ac",
+        "a1958e27c6bb62496fdf668b1f348298a48814f097bf2623841d037d5a1926ad",
     ("profile", "--uc", "0.2", "--samples", "4097", "--frame",
      "origin-at-half", "--format", "json"):
-        "445c2206248c3f1fe7bad919356484fb37d06eb74a8bda4a9f3a7a2f5922fe32",
+        "132c58a326e534f398d020af892fbe71e8c04c972d57d55645972d99c9ee9390",
     ("sweep", "--uc-min", "0.3", "--uc-max", "0.6", "--count", "5",
      "--format", "json"):
-        "70ff772513ad7139637b5498e979535db79138675a9ae8b01b1f801396b738af",
+        "75033e38129e7c0e7639016857c01f01de20f57c4a664aa1227f65d9aa65e632",
     ("compare", "--uc", "0.5,0.1,1e-3", "--format", "json"):
-        "c7daa5691cc9e55ee9deae801d6f8579132c714ea3004b03afd1e735ca8aff7c",
+        "c511a5cade70f009ce8ec03dd8184f23456e38a955a142f4a937b55135ca07cc",
     ("solve", "--uc", "0.5"):
-        "105f049c6577a0cf22421f54be84d3bb189613c923085f2342fe7f452152923d",
+        "38af6e04de1218cb2363c1eed09c030c678e4d9c4baef61d91ccce340e3eea33",
 }
 
 

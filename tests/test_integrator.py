@@ -10,7 +10,8 @@ from cutoffwave import (IntegrationControl, PhaseState, ReactionSpec,
                         trace_field_until_alpha, trace_until_alpha,
                         unstable_manifold_start)
 from cutoffwave import integrator
-from cutoffwave.integrator import StepGrid, shoot_slope
+from cutoffwave.integrator import (StepGrid, manifold_series,
+                                   manifold_series_start, shoot_slope)
 
 
 def fisher_energy(alpha, u_c):
@@ -42,6 +43,64 @@ def test_start_on_threshold_takes_no_step():
     record, traj = trace_until_alpha(cut, 1e-11, start, cut.u_c)
     assert (record.y_event, record.n_steps, record.state) == (0.0, 0, start)
     assert len(traj) == 0 and traj.y_end == 0.0
+
+
+@pytest.mark.parametrize("name", ["fisher", "cubic"])
+@pytest.mark.parametrize("v", [0.0, 0.5, 1.0, 2.0])
+def test_series_start_reach(name, v):
+    # search shots leave the manifold's series at 1 - U = min(0.3, 1 - u_c);
+    # from a threshold at or above 0.7, the start itself, no step is taken
+    reach = integrator._SERIES_REACH
+    for u_c in (1e-10, 0.5, 0.6, 0.7, 0.9, 0.99, 1.0 - 1e-13):
+        cut = make_cutoff(by_name(name), u_c)
+        start = manifold_series_start(cut, v)
+        assert start.alpha == 1.0 - min(reach, 1.0 - u_c)
+        assert start.beta < 0.0
+        if u_c >= 1.0 - reach:
+            assert shoot_slope(cut, v, start) == (start.beta / u_c, 0, 0)
+
+
+def test_series_is_the_exact_fisher_wave():
+    # at v = 5/sqrt(6) the Fisher wave is U = (1 + e^(y/sqrt(6)))^-2,
+    # whose phase path is beta = -2/sqrt(6) * U * (1 - sqrt(U))
+    v = 5.0 / math.sqrt(6.0)
+    b = manifold_series(fisher().coefficients, v)
+    for w in (1e-3, 0.1, 0.2, 0.3):
+        beta = sum(b_k * w ** k for k, b_k in enumerate(b, 1))
+        u = 1.0 - w
+        exact = -2.0 / math.sqrt(6.0) * u * (1.0 - math.sqrt(u))
+        assert beta == pytest.approx(exact, rel=1e-14)
+
+
+def _valley():
+    def valley(u):
+        return u * (1.0 - u) * (u - 0.25) * (u - 0.85)
+
+    # f(1 - w) = 0.1125w - 1.0125w^2 + 1.9w^3 - w^4
+    return ReactionSpec(name="valley", f=valley,
+                        coefficients=(0.1125, -1.0125, 1.9, -1.0),
+                        sup_f=lambda u_c: 0.05)
+
+
+@pytest.mark.parametrize("v", [0.0, 0.5, 1.0])
+def test_series_start_of_valley_reaction(v):
+    # the valley's series converges only out to 1 - U of about 0.28 (at
+    # 0.3 its sum is +0.70 at v = 0 and 1.5e4 at v = 0.5): the start moves
+    # in until beta < 0 and the last term is below rounding, and beta
+    # there is the dense path's
+    cut = make_cutoff(_valley(), 0.2)
+    start = manifold_series_start(cut, v)
+    assert 1.0 - start.alpha < 0.28 and start.beta < 0.0
+    _, traj = trace_until_alpha(cut, v, unstable_manifold_start(cut, v),
+                                start.alpha, IntegrationControl(tol=1e-13))
+    assert traj.find_alpha(start.alpha)[2] == pytest.approx(start.beta,
+                                                            rel=1e-10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_series_start_refuses_nan_or_negative_speed(bad):
+    with pytest.raises(ValueError):
+        manifold_series_start(make_cutoff(fisher(), 0.5), bad)
 
 
 def test_immediate_event():
@@ -376,8 +435,8 @@ def test_step_failure_on_non_finite_rate():
             return u * (1.0 - u)
         return math.nan
 
-    spec = ReactionSpec(name="nasty", f=nasty, fprime_at_1=-1.0,
-                        fdoubleprime_at_1=-2.0, sup_f=lambda u_c: 0.25)
+    spec = ReactionSpec(name="nasty", f=nasty, coefficients=(1.0, -1.0),
+                        sup_f=lambda u_c: 0.25)
     cut = make_cutoff(spec, 0.5)
     with pytest.raises(StepFailure):
         trace_until_alpha(cut, 0.3, PhaseState(1.0 - 1e-10, -1e-10), 0.5)[0]
@@ -469,8 +528,8 @@ def test_slope_shot_step_failure_on_non_finite_rate():
     def nasty(u):
         return u * (1.0 - u) if u >= 0.8 else math.nan
 
-    spec = ReactionSpec(name="nasty", f=nasty, fprime_at_1=-1.0,
-                        fdoubleprime_at_1=-2.0, sup_f=lambda u_c: 0.25)
+    spec = ReactionSpec(name="nasty", f=nasty, coefficients=(1.0, -1.0),
+                        sup_f=lambda u_c: 0.25)
     cut = make_cutoff(spec, 0.5)
     with pytest.raises(StepFailure):
         shoot_slope(cut, 0.3, unstable_manifold_start(cut, 0.3))
@@ -530,12 +589,7 @@ def test_step_grid_of_a_tail_shot(name):
 
 
 def test_step_grid_shot_that_turns():
-    def valley(u):
-        return u * (1.0 - u) * (u - 0.25) * (u - 0.85)
-
-    spec = ReactionSpec(name="valley", f=valley, fprime_at_1=-0.1125,
-                        fdoubleprime_at_1=0.0, sup_f=lambda u_c: 0.05)
-    cut = make_cutoff(spec, 0.2)
+    cut = make_cutoff(_valley(), 0.2)
     grid = StepGrid()
     for v in (0.0, 0.0, 0.5):  # records, then replays
         with pytest.raises(SpanExceeded):

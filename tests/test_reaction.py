@@ -1,9 +1,12 @@
 import math
+import random
+import sys
 
 import pytest
 
-from cutoffwave import (cubic_kpp, fisher, gamma_rate, lambda_plus,
-                        make_cutoff, v_upper_bound, validate_kpp, by_name)
+from cutoffwave import (ReactionSpec, cubic_kpp, fisher, gamma_rate,
+                        lambda_plus, make_cutoff, v_upper_bound, validate_kpp,
+                        by_name)
 
 
 def test_fisher_values():
@@ -28,6 +31,24 @@ def test_cubic_values():
     assert f.f(1.0) == 0.0
     assert f.fprime_at_1 == -2.0
     assert f.fdoubleprime_at_1 == -6.0
+
+
+@pytest.mark.parametrize("spec", [fisher(), cubic_kpp()])
+def test_coefficients_are_f_about_one(spec):
+    # f(1 - w) is the polynomial sum c_k w^k, up to the rounding of 1 - w
+    rng = random.Random(7)
+    for _ in range(100):
+        w = rng.random()
+        poly = sum(c * w ** k for k, c in enumerate(spec.coefficients, 1))
+        assert abs(poly - spec.f(1.0 - w)) <= 4.0 * sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("coefficients", [(), (0.0, 1.0), (-1.0,),
+                                          (math.nan,), (1.0, math.inf)])
+def test_spec_refuses_bad_coefficients(coefficients):
+    with pytest.raises(ValueError):
+        ReactionSpec(name="bad", f=fisher().f, coefficients=coefficients,
+                     sup_f=fisher().sup_f)
 
 
 @pytest.mark.parametrize("spec", [fisher(), cubic_kpp()])

@@ -14,8 +14,8 @@ from cutoffwave import (CutoffWaveError, MaxIterations, NoSignChange,
                         v_upper_bound)
 from cutoffwave import SpanExceeded, integrator, solver
 from cutoffwave.integrator import (IntegrationControl, PhaseState,
-                                   shoot_slope, trace_until_alpha,
-                                   unstable_manifold_start)
+                                   manifold_series_start, shoot_slope,
+                                   trace_until_alpha, unstable_manifold_start)
 
 # Independent high-accuracy speeds, frozen from a phase-plane formulation
 # d(beta)/d(alpha) = -v - f/beta solved with an eighth-order method at
@@ -437,6 +437,15 @@ def test_brent_smooth_root():
     assert n <= 12 < _bisection_shots(f, 0.0, 2.0)
 
 
+def test_brent_floor_is_relative_below_one():
+    # below |v| = 1 the width floor scales with the best point, which is
+    # v = 0 at the start here (|f(0)| < |f(1e-5)|)
+    root = 1e-10
+    f = lambda v: math.atan(v / root - 1.0)  # noqa: E731
+    lo, hi, _, _ = _run_brent(f, 0.0, 1e-5)
+    assert lo <= root <= hi and hi - lo <= 1e-14 * root
+
+
 def test_brent_never_interpolates_turned_sentinel():
     # above 1.3 the shot "turns" and returns the +1 sentinel; while the
     # bracket's high end carries it every step must be a bisection
@@ -494,8 +503,9 @@ def test_no_sign_change_for_malformed_reaction():
         return u * (1.0 - u) * (u - 0.25) * (u - 0.85)
 
     grid = np.linspace(1e-4, 1.0, 4001)
-    spec = ReactionSpec(name="valley", f=valley, fprime_at_1=-0.1125,
-                        fdoubleprime_at_1=0.0,
+    # f(1 - w) = 0.1125w - 1.0125w^2 + 1.9w^3 - w^4
+    spec = ReactionSpec(name="valley", f=valley,
+                        coefficients=(0.1125, -1.0125, 1.9, -1.0),
                         sup_f=lambda u_c: float(
                             np.max([valley(float(g)) for g in grid
                                     if g > u_c])))
@@ -653,7 +663,8 @@ def test_residual_is_worse_bracket_end(monkeypatch, reaction):
     # r rises through zero across the final bracket, so the end further
     # from zero bounds r(v*); an exact zero (lo == hi) reports 0.  Each
     # stage shoots on one step grid, so both ends were shot on stage 2's
-    # (each row's last), which gives the same value whenever replayed
+    # (each row's last), which gives the same value whenever replayed;
+    # search shots start on the manifold's series
     grids = {}
     slope = solver.shoot_slope
 
@@ -675,13 +686,13 @@ def test_residual_is_worse_bracket_end(monkeypatch, reaction):
         cut = make_cutoff(spec, row.u_c)
         r_lo, r_hi = (
             cut.u_c * math.tan(math.atan(shoot_slope(
-                cut, v, unstable_manifold_start(cut, v),
+                cut, v, manifold_series_start(cut, v),
                 grid=grids[row.u_c][-1])[0] + v)) for v in (lo, hi))
         assert r_lo < 0.0 <= r_hi
         worse = r_lo if abs(r_lo) > abs(r_hi) else r_hi
         assert row.residual == worse
         for v, r in ((lo, r_lo), (hi, r_hi)):
-            fresh = shoot_slope(cut, v, unstable_manifold_start(cut, v))[0]
+            fresh = shoot_slope(cut, v, manifold_series_start(cut, v))[0]
             assert abs(cut.u_c * (fresh + v) - r) <= cut.u_c * 1e-10
 
 
@@ -945,6 +956,31 @@ COLD_SPEEDS = {
 }
 
 
+# v*(u_c) near u_c = 1 to 20 digits: mpmath at 40 digits, on 60 terms of
+# the unstable manifold's series at the exact float 1 - u_c
+NEAR_ONE_SPEEDS = {
+    ("fisher", 0.9): 0.10177062090087767098,
+    ("fisher", 0.99): 0.010016764518373426865,
+    ("fisher", 0.999999): 1.0000001666955195631e-6,
+    ("fisher", 0.9999999999): 1.0000000827570376685e-10,
+    ("cubic", 0.9): 0.14148453475410455341,
+    ("cubic", 0.99): 0.014142194945144316662,
+    ("cubic", 0.999999): 1.4142135624138206252e-6,
+    ("cubic", 0.9999999999): 1.4142136793856498715e-10,
+}
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8])
+@pytest.mark.parametrize("name,u_c", sorted(NEAR_ONE_SPEEDS))
+def test_speed_near_one_to_rounding(name, u_c, tol):
+    # at or above u_c = 0.7 p + v is in closed form, and the bracket floor
+    # is relative to v below 1, so v* ~ 1 - u_c keeps every digit
+    config = ShootingConfig(control=IntegrationControl(tol=tol))
+    sol = solve_speed(make_cutoff(by_name(name), u_c), config=config)
+    ref = NEAR_ONE_SPEEDS[name, u_c]
+    assert abs(sol.v_star - ref) <= 1e-14 * ref
+
+
 @pytest.mark.parametrize("name,u_c", sorted(COLD_SPEEDS))
 def test_cold_speed_unchanged_by_coarse_stage(name, u_c):
     sol = solve_speed(make_cutoff(by_name(name), u_c))
@@ -977,8 +1013,10 @@ def test_turned_shot_forces_bisection():
     def valley(u):
         return u * (1.0 - u) * (u - 0.25) * (u - 0.85)
 
-    spec = ReactionSpec(name="valley", f=valley, fprime_at_1=-0.1125,
-                        fdoubleprime_at_1=0.0, sup_f=lambda u_c: 0.05)
+    # f(1 - w) = 0.1125w - 1.0125w^2 + 1.9w^3 - w^4
+    spec = ReactionSpec(name="valley", f=valley,
+                        coefficients=(0.1125, -1.0125, 1.9, -1.0),
+                        sup_f=lambda u_c: 0.05)
     cut = make_cutoff(spec, 0.2)
     assert shoot_residual(cut, 0.0) == 1.0
     assert solver._search_value(cut, 0.0, ShootingConfig()) == \
@@ -993,8 +1031,10 @@ def test_slope_shot_of_valley_reaction_turns(v):
     def valley(u):
         return u * (1.0 - u) * (u - 0.25) * (u - 0.85)
 
-    spec = ReactionSpec(name="valley", f=valley, fprime_at_1=-0.1125,
-                        fdoubleprime_at_1=0.0, sup_f=lambda u_c: 0.05)
+    # f(1 - w) = 0.1125w - 1.0125w^2 + 1.9w^3 - w^4
+    spec = ReactionSpec(name="valley", f=valley,
+                        coefficients=(0.1125, -1.0125, 1.9, -1.0),
+                        sup_f=lambda u_c: 0.05)
     cut = make_cutoff(spec, 0.2)
     with pytest.raises(SpanExceeded):
         shoot_slope(cut, v, unstable_manifold_start(cut, v))
